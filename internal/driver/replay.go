@@ -385,6 +385,7 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 	builder := &stageBuilder{}
 	if c, ok := tryCompileOpt(q, db, g, cfg); ok {
 		obs.compiled = c
+		res.compiled = c
 		builder.vb = newViewBuilder()
 	} else {
 		ev, err := eval.NewEvaluator(q, db)
