@@ -37,14 +37,15 @@ bench: bench-micro
 # BENCH_micro.json and fails on a regression of the hardware-independent
 # ratios (sequential/parallel barrier-phase time, sync/async spill time,
 # sequential/parallel eval-phase time, sequential/pipelined layered run
-# time). The committed BENCH_micro.json is the single-core container
-# baseline; CI archives the fresh one.
+# time) or of the zero-allocation invariants (disabled spans, wire frames,
+# repeated compiled layers). The committed BENCH_micro.json is the
+# single-core container baseline; CI archives the fresh one.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkBarrier' -benchmem -count 1 \
 		./internal/engine/ > bench-micro.out
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillPipeline' -benchmem -count 1 \
 		./internal/provenance/ >> bench-micro.out
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelEval' -benchmem -count 1 \
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelEval|BenchmarkCompiledLayer' -benchmem -count 1 \
 		./internal/pql/eval/ >> bench-micro.out
 	$(GO) test -run '^$$' -bench 'BenchmarkLayeredEval$$' -benchmem -count 1 \
 		./internal/driver/ >> bench-micro.out

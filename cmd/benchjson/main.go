@@ -238,6 +238,21 @@ func main() {
 			}
 		}
 	}
+	// A compiled query vertex program re-evaluating a layer whose tuples it
+	// has all derived must not allocate: slots, key and UDF-argument
+	// buffers and the emitted-fact index are reused scratch, and a head
+	// tuple is allocated only when it is new.
+	if wants("compiled_layer_allocs") {
+		if v, ok := metric(benches, "BenchmarkCompiledLayer", "allocs/op"); !ok {
+			rep.Failures = append(rep.Failures, "compiled_layer_allocs: missing BenchmarkCompiledLayer")
+		} else {
+			rep.Ratios["compiled_layer_allocs"] = v
+			if v != 0 {
+				rep.Failures = append(rep.Failures,
+					fmt.Sprintf("compiled_layer_allocs %.1f != 0 (compiled record driver allocates)", v))
+			}
+		}
+	}
 	if wants("layered_run_speedup") {
 		if v := ratio(rep, benches, "layered_run_speedup",
 			"BenchmarkLayeredEval/sequential",

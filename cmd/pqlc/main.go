@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -72,11 +73,27 @@ func main() {
 		}
 	}
 	if *explain {
-		if _, err := eval.Compile(q, eval.NewDatabase(), emptyGraph{}); err != nil {
-			fmt.Printf("evaluation:     interpretive Datalog (%v)\n", err)
-		} else {
-			fmt.Println("evaluation:     compiled query vertex program")
+		explainCompile(q)
+	}
+}
+
+// explainCompile reports whether q compiles to a query vertex program and,
+// per rule, which driver runs its slot program — or which rule keeps the
+// query on the interpretive evaluator, and why.
+func explainCompile(q *analysis.Query) {
+	c, err := eval.Compile(q, eval.NewDatabase(), emptyGraph{})
+	if err != nil {
+		fmt.Println("evaluation:     interpretive Datalog")
+		var re *eval.RuleError
+		if errors.As(err, &re) {
+			fmt.Printf("  rule:         %s\n", re.Rule)
 		}
+		fmt.Printf("  reason:       %v\n", err)
+		return
+	}
+	fmt.Println("evaluation:     compiled query vertex program")
+	for _, r := range c.Rules() {
+		fmt.Printf("  %-7s %s\n", r.Kind, r.Rule)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // The online driver is a deterministic function of the superstep record
 // stream, so its recoverable state is exactly: the Datalog database (the
 // query-relation deltas derived so far) plus the path-specific cursors —
-// compiled-rule drive cursors and the evolution-retention view for the
-// compiled path, or the evaluator's aggregate tables and the feeder's
-// retention/dedup maps for the interpretive path. Restoring this state and
+// compiled-rule drive cursors for the compiled path, or the evaluator's
+// aggregate tables and the feeder's retention/dedup maps for the
+// interpretive path. Restoring this state and
 // replaying supersteps from the checkpoint barrier reproduces the
 // failure-free query result bit for bit.
 
@@ -30,7 +30,10 @@ func (o *Online) MarshalCheckpoint() ([]byte, error) {
 	w.Bool(o.compiled != nil)
 	if o.compiled != nil {
 		o.compiled.SaveState(w)
-		saveVertexValues(w, o.vb.ret)
+		// The evolution-retention section stays in the layout but is
+		// always empty: online views take the previous value from the
+		// engine record.
+		w.Uvarint(0)
 		return w.Bytes(), nil
 	}
 	o.ev.SaveState(w)
@@ -87,8 +90,12 @@ func (o *Online) UnmarshalCheckpoint(data []byte) error {
 		if err := o.compiled.LoadState(r); err != nil {
 			return err
 		}
-		if err := loadVertexValues(r, o.vb.ret); err != nil {
-			return err
+		// Checkpoints written before the section was emptied carry
+		// per-vertex values here; nothing reads them.
+		n := r.Count()
+		for i := 0; i < n && r.Err() == nil; i++ {
+			r.Uvarint()
+			r.Value()
 		}
 		return errCtx(r.Err())
 	}

@@ -88,8 +88,11 @@ func tryCompile(q *analysis.Query, db *eval.Database, g *graph.Graph) (*eval.Com
 	return c, true
 }
 
-// recordViews converts provenance records to compiled-evaluator views,
-// maintaining the per-vertex retention needed for evolution joins.
+// viewBuilder converts provenance layers to compiled-evaluator views for
+// layered replay, maintaining the per-vertex retention needed for
+// evolution joins. It allocates fresh views per layer: it runs on the
+// prefetch goroutine, up to two layers ahead of the evaluation consuming
+// them.
 type viewBuilder struct {
 	ret map[graph.VertexID]value.Value
 }
@@ -142,8 +145,34 @@ func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
 	return out
 }
 
-func (vb *viewBuilder) fromEngine(recs []engine.VertexRecord) []eval.RecordView {
-	out := make([]eval.RecordView, len(recs))
+// engineViews converts a superstep's engine records to compiled-evaluator
+// views for online evaluation. The views and their message and fact arrays
+// are reused from superstep to superstep: the compiled program consumes
+// them at the barrier and retains none. The previous value comes from the
+// engine's OldValue, so no retention is kept.
+type engineViews struct {
+	views []eval.RecordView
+	msgs  []eval.MsgView
+	facts []eval.FactView
+}
+
+func (ev *engineViews) build(recs []engine.VertexRecord) []eval.RecordView {
+	nm, nf := 0, 0
+	for i := range recs {
+		nm += len(recs[i].Sent) + len(recs[i].Received)
+		nf += len(recs[i].Emitted)
+	}
+	// Size the arenas up front: views keep subslices of them.
+	if cap(ev.views) < len(recs) {
+		ev.views = make([]eval.RecordView, len(recs))
+	}
+	if cap(ev.msgs) < nm {
+		ev.msgs = make([]eval.MsgView, 0, nm)
+	}
+	if cap(ev.facts) < nf {
+		ev.facts = make([]eval.FactView, 0, nf)
+	}
+	out, msgs, facts := ev.views[:len(recs)], ev.msgs[:0], ev.facts[:0]
 	for i := range recs {
 		r := &recs[i]
 		rv := eval.RecordView{
@@ -160,26 +189,23 @@ func (vb *viewBuilder) fromEngine(recs []engine.VertexRecord) []eval.RecordView 
 			rv.PrevValue = r.OldValue
 			rv.HasPrevValue = true
 		}
-		if len(r.Sent) > 0 {
-			rv.Sends = make([]eval.MsgView, len(r.Sent))
-			for j, m := range r.Sent {
-				rv.Sends[j] = eval.MsgView{Peer: int64(m.Dst), Val: m.Val}
-			}
+		start := len(msgs)
+		for _, m := range r.Sent {
+			msgs = append(msgs, eval.MsgView{Peer: int64(m.Dst), Val: m.Val})
 		}
-		if len(r.Received) > 0 {
-			rv.Recvs = make([]eval.MsgView, len(r.Received))
-			for j, m := range r.Received {
-				rv.Recvs[j] = eval.MsgView{Peer: int64(m.Src), Val: m.Val}
-			}
+		rv.Sends = msgs[start:len(msgs):len(msgs)]
+		start = len(msgs)
+		for _, m := range r.Received {
+			msgs = append(msgs, eval.MsgView{Peer: int64(m.Src), Val: m.Val})
 		}
-		if len(r.Emitted) > 0 {
-			rv.Emitted = make([]eval.FactView, len(r.Emitted))
-			for j, f := range r.Emitted {
-				rv.Emitted[j] = eval.FactView{Table: f.Table, Args: f.Args}
-			}
+		rv.Recvs = msgs[start:len(msgs):len(msgs)]
+		start = len(facts)
+		for _, f := range r.Emitted {
+			facts = append(facts, eval.FactView{Table: f.Table, Args: f.Args})
 		}
-		vb.ret[r.ID] = r.NewValue
+		rv.Emitted = facts[start:len(facts):len(facts)]
 		out[i] = rv
 	}
+	ev.msgs, ev.facts = msgs, facts
 	return out
 }

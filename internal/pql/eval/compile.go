@@ -16,8 +16,17 @@ import (
 // vertex's transient provenance record — value, previous value (evolution),
 // messages, emitted facts, static edges — without materializing any EDB
 // tuples in the Datalog database. Only derived (IDB) tuples are stored.
-// This is what makes online evaluation cheap: the per-record work is a few
-// closure calls instead of tuple construction, hashing, and join indexing.
+//
+// Each rule compiles (compilerule.go) to a flat slot program, the same IR
+// the shard-parallel interpreter runs (slots.go), and one of three drivers
+// runs it:
+//   - record rules run once per record, anchored at the record's vertex;
+//   - global rules (IDB joins with no record literal) run a delta step over
+//     the driving relation's tuples that arrived since their last pass;
+//   - static rules (static edges only) run once, with no record.
+//
+// Evaluation allocates only for new head tuples: slots, key buffers, UDF
+// arguments and the emitted-fact index are reused scratch in one slotRun.
 //
 // Not every PQL query compiles: aggregates, remote EDB access, and
 // unrestricted cross-layer joins fall back to the interpretive evaluator
@@ -29,6 +38,16 @@ var ErrNotCompilable = errors.New("pql: query is not compilable to a vertex prog
 func notCompilable(pos pql.Pos, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: %s", ErrNotCompilable, pos, fmt.Sprintf(format, args...))
 }
+
+// RuleError names the rule that kept a query off the compiled path. It
+// wraps the ErrNotCompilable reason.
+type RuleError struct {
+	Rule *pql.Rule
+	Err  error
+}
+
+func (e *RuleError) Error() string { return e.Err.Error() }
+func (e *RuleError) Unwrap() error { return e.Err }
 
 // MsgView is one message endpoint of a record under compiled evaluation.
 type MsgView struct {
@@ -57,33 +76,6 @@ type RecordView struct {
 	Sends        []MsgView
 	Recvs        []MsgView
 	Emitted      []FactView
-
-	// embIdx lazily indexes Emitted by (table, first-argument) so compiled
-	// joins between emitted tables (e.g. Query 7's prov_error with
-	// prov_prediction on the same neighbor) cost O(deg) instead of O(deg²).
-	embIdx map[string]map[string][]int
-}
-
-// factsByFirstArg returns the indices of emitted facts of the given table
-// keyed by their first argument, building the index on first use.
-func (rv *RecordView) factsByFirstArg(table string) map[string][]int {
-	if rv.embIdx == nil {
-		rv.embIdx = map[string]map[string][]int{}
-	}
-	idx, ok := rv.embIdx[table]
-	if !ok {
-		idx = map[string][]int{}
-		for i := range rv.Emitted {
-			f := &rv.Emitted[i]
-			if f.Table != table || len(f.Args) == 0 {
-				continue
-			}
-			k := Tuple{f.Args[0]}.Key()
-			idx[k] = append(idx[k], i)
-		}
-		rv.embIdx[table] = idx
-	}
-	return idx
 }
 
 // StaticGraph exposes the input graph to compiled edge/edge_value literals.
@@ -97,80 +89,77 @@ type StaticGraph interface {
 	EdgeWeight(src, dst int64) (float64, bool)
 }
 
-// Compiled is a query compiled to per-record vertex-program closures.
+// RuleKind is the driver of a compiled rule's slot program.
+type RuleKind uint8
+
+const (
+	RuleRecord RuleKind = iota // anchored at each record
+	RuleGlobal                 // driven by the new tuples of its first IDB
+	RuleStatic                 // only static EDBs: evaluated once
+)
+
+func (k RuleKind) String() string {
+	switch k {
+	case RuleRecord:
+		return "record"
+	case RuleGlobal:
+		return "global"
+	default:
+		return "static"
+	}
+}
+
+// CompiledRule describes one compiled rule.
+type CompiledRule struct {
+	Rule *pql.Rule
+	Kind RuleKind
+}
+
+// Compiled is a query compiled to slot programs over provenance records.
+// Evaluation is single-threaded (it runs at the superstep barrier).
 type Compiled struct {
 	q  *analysis.Query
 	db *Database
-	sg StaticGraph
 
 	// strata[i] holds the compiled rules of stratum i.
 	strata [][]*crule
+	// rn is the evaluation scratch; rn.derived counts inserted head tuples.
+	rn slotRun
 
 	staticDone bool
-	derived    int64
 	records    int64
 }
 
 // crule is one compiled rule.
 type crule struct {
 	src  *pql.Rule
-	kind ruleKind
-	// steps is the CPS chain; each step binds/filters and calls the next.
-	steps []cstep
-	// Global rules are driven by the new tuples of one IDB relation
-	// (semi-naive): drivePred names it, driveMatch binds a driving tuple,
-	// and driveCursor tracks the insertion-order position already consumed.
+	kind RuleKind
+	prog slotVariant
+	head *Relation
+	// Global rules: the delta step scans drivePred's tuples from
+	// driveCursor, the insertion-order position already consumed.
 	drivePred   string
-	driveMatch  []argMatcher
 	driveCursor int
-	// head builds and inserts the head tuple from the slot bindings.
-	headPred  string
-	headArity int
-	headArgs  []termFn
-	nslots    int
-
-	// Reusable single-threaded evaluation scratch (see Compiled.scratch).
-	scratchSlots *slots
-	scratchEmit  func() error
 }
 
-type ruleKind uint8
-
-const (
-	ruleRecord ruleKind = iota // anchored at each record
-	ruleGlobal                 // driven by a full scan of its first IDB
-	ruleStatic                 // only static EDBs: evaluated once
-)
-
-// slots is the compiled binding environment: values plus a bound mask.
-type slots struct {
-	val   []value.Value
-	bound []bool
-}
-
-// cstep executes one literal: it may bind slots, and calls k for each match
-// (restoring bindings afterwards).
-type cstep func(rv *RecordView, s *slots, k func() error) error
-
-// termFn evaluates a term under slot bindings.
-type termFn func(s *slots) (value.Value, error)
-
-// Compile compiles an analyzed query. Returns ErrNotCompilable (wrapped)
-// when the query requires the interpretive evaluator.
+// Compile compiles an analyzed query. Returns a *RuleError wrapping
+// ErrNotCompilable when the query requires the interpretive evaluator.
 func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error) {
-	c := &Compiled{q: q, db: db, sg: sg, strata: make([][]*crule, len(q.Strata))}
+	c := &Compiled{q: q, db: db, strata: make([][]*crule, len(q.Strata))}
+	c.rn = slotRun{db: db, sg: sg}
 	for name, arity := range q.IDBs {
 		db.Relation(name, arity)
 	}
 	globalHeads := map[string]bool{}
 	for si, stratum := range q.Strata {
 		for _, r := range stratum {
-			cr, err := compileRule(r, q, db, sg)
+			cr, err := compileRule(r, q)
 			if err != nil {
-				return nil, err
+				return nil, &RuleError{Rule: r, Err: err}
 			}
-			if cr.kind == ruleGlobal {
-				globalHeads[cr.headPred] = true
+			cr.head = db.Relation(r.Head.Pred, len(r.Head.Args))
+			if cr.kind == RuleGlobal {
+				globalHeads[r.Head.Pred] = true
 			}
 			c.strata[si] = append(c.strata[si], cr)
 		}
@@ -180,12 +169,12 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 	// record (global-rule heads complete only at FinishRun).
 	for _, stratum := range c.strata {
 		for _, cr := range stratum {
-			if cr.kind != ruleRecord {
+			if cr.kind != RuleRecord {
 				continue
 			}
 			for _, lit := range cr.src.Body {
 				if pl, ok := lit.(*pql.PredLit); ok && globalHeads[pl.Atom.Pred] {
-					return nil, notCompilable(cr.src.Pos, "record rule consumes global predicate %s", pl.Atom.Pred)
+					return nil, &RuleError{Rule: cr.src, Err: notCompilable(cr.src.Pos, "record rule consumes global predicate %s", pl.Atom.Pred)}
 				}
 			}
 		}
@@ -193,8 +182,19 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 	return c, nil
 }
 
+// Rules lists the compiled rules in stratum order with their drivers.
+func (c *Compiled) Rules() []CompiledRule {
+	var out []CompiledRule
+	for _, stratum := range c.strata {
+		for _, r := range stratum {
+			out = append(out, CompiledRule{Rule: r.src, Kind: r.kind})
+		}
+	}
+	return out
+}
+
 // DerivedTuples returns how many head tuples were inserted.
-func (c *Compiled) DerivedTuples() int64 { return c.derived }
+func (c *Compiled) DerivedTuples() int64 { return c.rn.derived }
 
 // Records returns how many records were processed.
 func (c *Compiled) Records() int64 { return c.records }
@@ -207,10 +207,11 @@ func (c *Compiled) BeginRun() error {
 	c.staticDone = true
 	for _, stratum := range c.strata {
 		for _, r := range stratum {
-			if r.kind != ruleStatic {
+			if r.kind != RuleStatic {
 				continue
 			}
-			if err := c.evalRule(r, nil); err != nil {
+			c.use(r, nil)
+			if err := r.prog.run(&c.rn, 0); err != nil {
 				return err
 			}
 		}
@@ -227,28 +228,32 @@ func (c *Compiled) Layer(recs []RecordView) error {
 	c.records += int64(len(recs))
 	for _, stratum := range c.strata {
 		for {
-			before := c.derived
+			before := c.rn.derived
 			for _, r := range stratum {
 				switch r.kind {
-				case ruleStatic:
+				case RuleStatic:
 					// done in BeginRun
-				case ruleGlobal:
+				case RuleGlobal:
 					if err := c.evalGlobal(r); err != nil {
 						return err
 					}
 				default:
+					c.use(r, nil)
 					for i := range recs {
-						if err := c.evalRule(r, &recs[i]); err != nil {
+						c.rn.rv = &recs[i]
+						c.rn.gen++
+						if err := r.prog.run(&c.rn, 0); err != nil {
 							return err
 						}
 					}
 				}
 			}
-			if c.derived == before {
+			if c.rn.derived == before {
 				break
 			}
 		}
 	}
+	c.rn.rv = nil
 	return nil
 }
 
@@ -258,9 +263,9 @@ func (c *Compiled) Layer(recs []RecordView) error {
 func (c *Compiled) FinishRun() error {
 	for _, stratum := range c.strata {
 		for {
-			before := c.derived
+			before := c.rn.derived
 			for _, r := range stratum {
-				if r.kind != ruleGlobal {
+				if r.kind != RuleGlobal {
 					continue
 				}
 				r.driveCursor = 0
@@ -268,12 +273,20 @@ func (c *Compiled) FinishRun() error {
 					return err
 				}
 			}
-			if c.derived == before {
+			if c.rn.derived == before {
 				break
 			}
 		}
 	}
 	return nil
+}
+
+// use points the scratch at rule r's program, head and delta batch.
+func (c *Compiled) use(r *crule, deltas []Tuple) {
+	c.rn.size(&r.prog)
+	c.rn.head = r.head
+	c.rn.deltas = deltas
+	c.rn.rv = nil
 }
 
 // evalGlobal runs a global rule over the driving relation's tuples that
@@ -287,62 +300,8 @@ func (c *Compiled) evalGlobal(r *crule) error {
 	if r.driveCursor >= len(all) {
 		return nil
 	}
-	s, emit := c.scratch(r)
-	for i := range s.bound {
-		s.bound[i] = false
-	}
 	start := r.driveCursor
 	r.driveCursor = len(all)
-	for _, t := range all[start:] {
-		if err := matchAll(s, r.driveMatch, t, 0, func() error {
-			return runSteps(r.steps, 0, nil, s, emit)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scratch returns the rule's reusable evaluation state (evaluation is
-// single-threaded: it runs at the superstep barrier).
-func (c *Compiled) scratch(r *crule) (*slots, func() error) {
-	if r.scratchSlots == nil {
-		s := &slots{val: make([]value.Value, r.nslots), bound: make([]bool, r.nslots)}
-		head := c.db.Relation(r.headPred, r.headArity)
-		r.scratchSlots = s
-		r.scratchEmit = func() error {
-			t := make(Tuple, r.headArity)
-			for i, fn := range r.headArgs {
-				v, err := fn(s)
-				if err != nil {
-					return err
-				}
-				t[i] = v
-			}
-			if head.Insert(t) {
-				c.derived++
-			}
-			return nil
-		}
-	}
-	return r.scratchSlots, r.scratchEmit
-}
-
-// evalRule runs one compiled rule over one record (or globally when rv is
-// nil for global/static rules).
-func (c *Compiled) evalRule(r *crule, rv *RecordView) error {
-	s, emit := c.scratch(r)
-	for i := range s.bound {
-		s.bound[i] = false
-	}
-	return runSteps(r.steps, 0, rv, s, emit)
-}
-
-func runSteps(steps []cstep, i int, rv *RecordView, s *slots, emit func() error) error {
-	if i == len(steps) {
-		return emit()
-	}
-	return steps[i](rv, s, func() error {
-		return runSteps(steps, i+1, rv, s, emit)
-	})
+	c.use(r, all[start:])
+	return r.prog.run(&c.rn, 0)
 }

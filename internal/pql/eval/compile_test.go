@@ -3,25 +3,29 @@ package eval
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
+	"ariadne/internal/queries"
 	"ariadne/internal/value"
 )
 
 // fakeGraph is a tiny StaticGraph for compiler tests.
 type fakeGraph struct {
-	n   int
-	out map[int64][]int64
-	w   map[[2]int64]float64
-	in  map[int64][]int64
+	n    int
+	out  map[int64][]int64
+	outW map[int64][]float64
+	w    map[[2]int64]float64
+	in   map[int64][]int64
 }
 
 func newFakeGraph(n int, edges [][2]int64) *fakeGraph {
-	f := &fakeGraph{n: n, out: map[int64][]int64{}, w: map[[2]int64]float64{}, in: map[int64][]int64{}}
+	f := &fakeGraph{n: n, out: map[int64][]int64{}, outW: map[int64][]float64{}, w: map[[2]int64]float64{}, in: map[int64][]int64{}}
 	for _, e := range edges {
 		f.out[e[0]] = append(f.out[e[0]], e[1])
+		f.outW[e[0]] = append(f.outW[e[0]], 1)
 		f.in[e[1]] = append(f.in[e[1]], e[0])
 		f.w[e] = 1
 	}
@@ -30,12 +34,7 @@ func newFakeGraph(n int, edges [][2]int64) *fakeGraph {
 
 func (f *fakeGraph) NumVertices() int { return f.n }
 func (f *fakeGraph) OutNeighbors(v int64) ([]int64, []float64) {
-	dst := f.out[v]
-	ws := make([]float64, len(dst))
-	for i, d := range dst {
-		ws[i] = f.w[[2]int64{v, d}]
-	}
-	return dst, ws
+	return f.out[v], f.outW[v]
 }
 func (f *fakeGraph) InNeighbors(v int64) []int64 { return f.in[v] }
 func (f *fakeGraph) EdgeWeight(src, dst int64) (float64, bool) {
@@ -331,4 +330,66 @@ pair(X, I, J) :- seen(X, I), seen(X, J), I < J.
 		{{Vertex: 0, Superstep: 2, HasValue: true, Value: value.NewFloat(3), PrevActive: 1, PrevValue: value.NewFloat(2), HasPrevValue: true}},
 	}
 	runBothPaths(t, src, env, sg, layers)
+}
+
+// TestCannedQueriesCompile pins which canned queries run as compiled query
+// vertex programs (and each rule's driver), and why the others fall back:
+// the set that compiles must not shrink.
+func TestCannedQueriesCompile(t *testing.T) {
+	sg := newFakeGraph(2, nil)
+	cases := []struct {
+		def   queries.Definition
+		kinds string // rule drivers in stratum order, or the fallback reason
+	}{
+		{queries.Apt(0.01, nil), "record record record global global"},
+		{queries.CaptureFull(), "record record record"},
+		{queries.CaptureForwardLineage(0), "record record"},
+		{queries.PageRankCheck(), "static record"},
+		{queries.MonotoneCheck(), "record record"},
+		{queries.SilentChange(), "record record"},
+		{queries.ALSRangeCheck(), "record record record record"},
+		{queries.ALSErrorIncrease(0.5), "2:1: aggregates require the interpretive evaluator"},
+		{queries.BackwardTrace(0, 3), "record record record"},
+		{queries.CaptureBackwardCustom(), "record record"},
+		{queries.NetGap(), "2:25: EDB net_rpc is not record-local"},
+		{queries.BackwardTraceCustom(0, 3), "record record record"},
+	}
+	for _, tc := range cases {
+		c, err := Compile(tc.def.MustBuild(), NewDatabase(), sg)
+		var got string
+		if err != nil {
+			var re *RuleError
+			if !errors.Is(err, ErrNotCompilable) || !errors.As(err, &re) {
+				t.Errorf("%s: %v is not a RuleError wrapping ErrNotCompilable", tc.def.Name, err)
+				continue
+			}
+			got = strings.TrimPrefix(err.Error(), ErrNotCompilable.Error()+": ")
+		} else {
+			var kinds []string
+			for _, r := range c.Rules() {
+				kinds = append(kinds, r.Kind.String())
+			}
+			got = strings.Join(kinds, " ")
+		}
+		if got != tc.kinds {
+			t.Errorf("%s: %q, want %q", tc.def.Name, got, tc.kinds)
+		}
+	}
+}
+
+// TestCompiledGlobalRuleBindOrder covers global rules whose schedule puts
+// steps ahead of the driving literal (a binder, an in-edge enumeration): at
+// runtime the delta scan runs first, so those steps must compare against
+// the variables it bound instead of rebinding them.
+func TestCompiledGlobalRuleBindOrder(t *testing.T) {
+	env := analysis.NewEnv()
+	src := `
+seen(X, I) :- superstep(X, I).
+at_two(X) :- I = 2, seen(X, I).
+into_four(X, I) :- seen(X, I), edge(X, 4).
+`
+	for seed := int64(1); seed <= 3; seed++ {
+		sg, layers := testGraphAndLayers(seed)
+		runBothPaths(t, src, env, sg, layers)
+	}
 }

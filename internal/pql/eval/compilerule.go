@@ -3,10 +3,9 @@ package eval
 import (
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
-	"ariadne/internal/value"
 )
 
-// compileRule translates one rule into closure steps.
+// compileRule translates one rule into a slot program.
 //
 // Shape requirements (anything else is ErrNotCompilable):
 //   - no aggregates in the head;
@@ -18,37 +17,39 @@ import (
 //     literal (satisfied from retention);
 //   - remote access happens only through IDB predicates (database lookups)
 //     or static edges, exactly the VC-compatible discipline of Def. 4.1.
-func compileRule(r *pql.Rule, q *analysis.Query, db *Database, sg StaticGraph) (*crule, error) {
+//
+// The body is scheduled greedily in compile order (bindable comparisons and
+// ground negations first, then the cheapest positive literal), which fixes
+// each step's access path. A global rule's driving literal is pulled to the
+// front as the delta step; bindOrder then settles, in that runtime order,
+// which occurrence of each variable binds its slot.
+func compileRule(r *pql.Rule, q *analysis.Query) (*crule, error) {
 	for _, a := range r.Head.Args {
 		if containsAgg(a) {
 			return nil, notCompilable(r.Pos, "aggregates require the interpretive evaluator")
 		}
 	}
-	rc := &ruleCompiler{
-		r: r, q: q, sg: sg, dbRef: db,
-		slotOf: map[string]int{},
-	}
+	rc := &ruleCompiler{r: r, q: q, env: q.Env(), slotOf: map[string]int{}, bound: map[int]bool{}}
 	return rc.compile()
 }
 
 type ruleCompiler struct {
-	r     *pql.Rule
-	q     *analysis.Query
-	sg    StaticGraph
-	dbRef *Database
+	r   *pql.Rule
+	q   *analysis.Query
+	env *analysis.Env
 
 	slotOf map[string]int
 	nslots int
-	bound  map[int]bool // compile-time bound slots
+	bound  map[int]bool // compile-time bound slots, in schedule order
 
 	anchorVar string // head location var ("" when head location is const)
 	curSSVar  string // the current-superstep variable
 	prevSSVar string // the evolution predecessor variable, if any
 
-	steps []cstep
-	// Global-rule driver (semi-naive over the first scheduled IDB).
-	drivePred  string
-	driveMatch []argMatcher
+	steps []slotStep
+	// Global rules: the delta step over the first scheduled IDB.
+	drive     *slotStep
+	drivePred string
 }
 
 func (rc *ruleCompiler) slot(name string) int {
@@ -75,17 +76,25 @@ func (rc *ruleCompiler) isBound(t pql.Term) bool {
 	return true
 }
 
-func (rc *ruleCompiler) markBound(t pql.Term) {
-	var vs []*pql.Var
-	vs = pql.Vars(t, vs)
-	for _, v := range vs {
-		if !v.Wildcard() {
-			rc.bound[rc.slot(v.Name)] = true
-		}
+// boundSlot resolves a variable read by a term: it must be bound by an
+// earlier step.
+func (rc *ruleCompiler) boundSlot(v *pql.Var) (int, error) {
+	slot := rc.slot(v.Name)
+	if !rc.bound[slot] {
+		return 0, notCompilable(v.Pos, "unbound variable %s", v.Name)
 	}
+	return slot, nil
 }
 
-// localEDBs are the predicates satisfiable from a RecordView.
+func (rc *ruleCompiler) term(t pql.Term) (slotFn, error) {
+	return termFn(t, rc.env, rc.boundSlot)
+}
+
+func (rc *ruleCompiler) src(t pql.Term) (slotSrc, error) {
+	return termSrc(t, rc.env, rc.boundSlot)
+}
+
+// isRecordLocalEDB reports whether pred is satisfiable from a RecordView.
 func isRecordLocalEDB(q *analysis.Query, pred string) bool {
 	switch pred {
 	case "superstep", "value", "evolution", "send_message", "receive_message", "prov_send", "edge_value":
@@ -100,7 +109,6 @@ func isRecordLocalEDB(q *analysis.Query, pred string) bool {
 
 func (rc *ruleCompiler) compile() (*crule, error) {
 	r := rc.r
-	rc.bound = map[int]bool{}
 
 	// Identify the anchor (head location) and superstep variables.
 	if v, ok := r.Head.Args[0].(*pql.Var); ok && !v.Wildcard() {
@@ -114,6 +122,7 @@ func (rc *ruleCompiler) compile() (*crule, error) {
 		if !ok {
 			continue
 		}
+		_, isIDB := rc.q.IDBs[pl.Atom.Pred]
 		switch {
 		case pl.Atom.Pred == "edge":
 			hasStatic = true
@@ -126,7 +135,7 @@ func (rc *ruleCompiler) compile() (*crule, error) {
 			if v, ok := pl.Atom.Args[0].(*pql.Var); !ok || v.Name != rc.anchorVar {
 				return nil, notCompilable(pl.Atom.Pos, "record predicate %s must be located at the head's location variable", pl.Atom.Pred)
 			}
-		case func() bool { _, isIDB := rc.q.IDBs[pl.Atom.Pred]; return isIDB }():
+		case isIDB:
 			hasIDB = true
 		default:
 			return nil, notCompilable(pl.Atom.Pos, "EDB %s is not record-local", pl.Atom.Pred)
@@ -149,25 +158,22 @@ func (rc *ruleCompiler) compile() (*crule, error) {
 		rc.prevSSVar, rc.curSSVar = j, i
 	}
 
-	kind := ruleRecord
+	kind := RuleRecord
 	if !hasRecordLocal {
-		if hasIDB {
-			kind = ruleGlobal
-		} else if hasStatic {
-			kind = ruleStatic
-		} else if len(r.Body) == 0 {
-			kind = ruleStatic // fact rule
-		} else {
-			kind = ruleGlobal
+		switch {
+		case hasIDB:
+			kind = RuleGlobal
+		case hasStatic, len(r.Body) == 0:
+			kind = RuleStatic // static edges only, or a fact rule
+		default:
+			kind = RuleGlobal
 		}
 	}
 
-	// Anchor step: bind the location (and lazily the current superstep).
-	if kind == ruleRecord && rc.anchorVar != "" {
+	// Anchor step: bind the location.
+	if kind == RuleRecord && rc.anchorVar != "" {
 		locSlot := rc.slot(rc.anchorVar)
-		rc.steps = append(rc.steps, func(rv *RecordView, s *slots, k func() error) error {
-			return bindInt(s, locSlot, rv.Vertex, k)
-		})
+		rc.steps = append(rc.steps, slotStep{kind: stepAnchor, match: []slotMatch{{kind: matchBind, slot: locSlot}}})
 		rc.bound[locSlot] = true
 	}
 
@@ -187,21 +193,8 @@ func (rc *ruleCompiler) compile() (*crule, error) {
 					continue
 				}
 				rc.steps = append(rc.steps, st)
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				i--
-				progressed = true
 			case *pql.PredLit:
-				if !lit.Negated {
-					continue
-				}
-				ground := true
-				for _, a := range lit.Atom.Args {
-					if !rc.isBound(a) {
-						ground = false
-						break
-					}
-				}
-				if !ground {
+				if !lit.Negated || !rc.ground(lit.Atom.Args) {
 					continue
 				}
 				st, err := rc.compileNegated(lit.Atom)
@@ -209,10 +202,12 @@ func (rc *ruleCompiler) compile() (*crule, error) {
 					return nil, err
 				}
 				rc.steps = append(rc.steps, st)
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				i--
-				progressed = true
+			default:
+				continue
 			}
+			remaining = append(remaining[:i], remaining[i+1:]...)
+			i--
+			progressed = true
 		}
 		// 2. Then the best positive literal: cheap record-locals before
 		// enumerators before IDB lookups.
@@ -230,16 +225,10 @@ func (rc *ruleCompiler) compile() (*crule, error) {
 		if bestIdx >= 0 {
 			pl := remaining[bestIdx].(*pql.PredLit)
 			_, isIDB := rc.q.IDBs[pl.Atom.Pred]
-			if kind == ruleGlobal && rc.drivePred == "" && isIDB {
-				// The first IDB drives the rule semi-naively: compile its
-				// arguments as matchers over driving tuples, not a step.
-				rc.drivePred = pl.Atom.Pred
-				for _, arg := range pl.Atom.Args {
-					m, err := rc.matcher(arg)
-					if err != nil {
-						return nil, err
-					}
-					rc.driveMatch = append(rc.driveMatch, m)
+			if kind == RuleGlobal && rc.drive == nil && isIDB {
+				// The first IDB drives the rule semi-naively.
+				if err := rc.compileDrive(pl.Atom); err != nil {
+					return nil, err
 				}
 			} else {
 				st, err := rc.compilePositive(pl.Atom, kind)
@@ -256,31 +245,75 @@ func (rc *ruleCompiler) compile() (*crule, error) {
 		}
 	}
 
-	if kind == ruleGlobal && rc.drivePred == "" {
+	if kind == RuleGlobal && rc.drive == nil {
 		return nil, notCompilable(r.Pos, "global rule without an IDB driver")
 	}
 
-	// Head argument evaluators.
-	cr := &crule{
-		src: r, kind: kind, steps: rc.steps,
-		headPred: r.Head.Pred, headArity: len(r.Head.Args),
-		drivePred: rc.drivePred, driveMatch: rc.driveMatch,
-	}
+	cr := &crule{src: r, kind: kind, drivePred: rc.drivePred}
 	for _, a := range r.Head.Args {
-		fn, err := rc.compileTerm(a)
+		s, err := rc.src(a)
 		if err != nil {
 			return nil, err
 		}
-		cr.headArgs = append(cr.headArgs, fn)
+		cr.prog.head = append(cr.prog.head, s)
 	}
-	cr.nslots = rc.nslots
+	// At runtime the delta scan runs first, ahead of any step scheduled
+	// before the driver was chosen.
+	if rc.drive != nil {
+		cr.prog.steps = append(cr.prog.steps, *rc.drive)
+	}
+	cr.prog.steps = append(cr.prog.steps, rc.steps...)
+	cr.prog.nSlots = rc.nslots
+	bindOrder(cr.prog.steps, rc.nslots)
 	return cr, nil
 }
 
+// ground reports whether every term is bound at this point of the
+// schedule.
+func (rc *ruleCompiler) ground(ts []pql.Term) bool {
+	for _, t := range ts {
+		if !rc.isBound(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// bindOrder settles variable matches in runtime step order: a variable's
+// first occurrence binds its slot, later occurrences compare against it,
+// and a binder comparison whose variable is already bound becomes a check.
+// The scheduler emits every variable match as a tentative bind because a
+// global rule's delta step runs ahead of steps scheduled before it.
+func bindOrder(steps []slotStep, nSlots int) {
+	bound := make([]bool, nSlots)
+	for i := range steps {
+		st := &steps[i]
+		if st.kind == stepCompare {
+			if st.bindSlot >= 0 {
+				st.bindCheck = bound[st.bindSlot]
+				bound[st.bindSlot] = true
+			}
+			continue
+		}
+		for j := range st.match {
+			m := &st.match[j]
+			if m.kind != matchBind && m.kind != matchSlot {
+				continue
+			}
+			if bound[m.slot] {
+				m.kind = matchSlot
+			} else {
+				m.kind = matchBind
+				bound[m.slot] = true
+			}
+		}
+	}
+}
+
 // literalCost orders positive literals for scheduling: lower is earlier.
-func (rc *ruleCompiler) literalCost(a *pql.Atom, kind ruleKind) int {
+func (rc *ruleCompiler) literalCost(a *pql.Atom, kind RuleKind) int {
 	if _, isIDB := rc.q.IDBs[a.Pred]; isIDB {
-		if kind == ruleGlobal {
+		if kind == RuleGlobal {
 			return 50 // the driving scan
 		}
 		return 100
@@ -315,237 +348,328 @@ func asVar(t pql.Term) (string, bool) {
 	return v.Name, true
 }
 
-// --- slot binding helpers (runtime) ---
-
-func bindInt(s *slots, slot int, v int64, k func() error) error {
-	return bindVal(s, slot, value.NewInt(v), k)
-}
-
-func bindVal(s *slots, slot int, v value.Value, k func() error) error {
-	if slot < 0 {
-		return k()
-	}
-	if s.bound[slot] {
-		if !s.val[slot].Equal(v) {
-			return nil
-		}
-		return k()
-	}
-	s.val[slot] = v
-	s.bound[slot] = true
-	err := k()
-	s.bound[slot] = false
-	return err
-}
-
-// argMatcher compiles one atom argument into a match-or-bind closure
-// operating on a produced value.
-type argMatcher func(s *slots, got value.Value, k func() error) error
-
-func (rc *ruleCompiler) matcher(t pql.Term) (argMatcher, error) {
+// matcher compiles one atom argument into a match action on a produced
+// value. Variables get a tentative bind (see bindOrder) and count as bound
+// for the rest of the schedule.
+func (rc *ruleCompiler) matcher(t pql.Term) (slotMatch, error) {
 	switch t := t.(type) {
 	case *pql.Var:
 		if t.Wildcard() {
-			return func(s *slots, _ value.Value, k func() error) error { return k() }, nil
+			return slotMatch{kind: matchSkip}, nil
 		}
 		slot := rc.slot(t.Name)
-		rc.bound[slot] = true // after this step the var is bound
-		return func(s *slots, got value.Value, k func() error) error {
-			return bindVal(s, slot, got, k)
-		}, nil
+		rc.bound[slot] = true
+		return slotMatch{kind: matchBind, slot: slot}, nil
 	case *pql.Const:
-		cv := t.Val
-		return func(s *slots, got value.Value, k func() error) error {
-			if !cv.Equal(got) {
-				return nil
-			}
-			return k()
-		}, nil
+		return slotMatch{kind: matchConst, cval: t.Val}, nil
 	default:
 		if !rc.isBound(t) {
-			return nil, notCompilable(rc.r.Pos, "argument expression %s has unbound variables", t)
+			return slotMatch{}, notCompilable(rc.r.Pos, "argument expression %s has unbound variables", t)
 		}
-		fn, err := rc.compileTerm(t)
+		fn, err := rc.term(t)
 		if err != nil {
-			return nil, err
+			return slotMatch{}, err
 		}
-		return func(s *slots, got value.Value, k func() error) error {
-			want, err := fn(s)
-			if err != nil {
-				return err
-			}
-			if !want.Equal(got) {
-				return nil
-			}
-			return k()
-		}, nil
+		return slotMatch{kind: matchFn, fn: fn}, nil
 	}
 }
 
-// compileTerm compiles a term into a slot-based evaluator.
-func (rc *ruleCompiler) compileTerm(t pql.Term) (termFn, error) {
-	switch t := t.(type) {
-	case *pql.Const:
-		v := t.Val
-		return func(*slots) (value.Value, error) { return v, nil }, nil
-	case *pql.Var:
-		if t.Wildcard() {
-			return nil, notCompilable(t.Pos, "wildcard in evaluated term")
-		}
-		slot := rc.slot(t.Name)
-		name, pos := t.Name, t.Pos
-		return func(s *slots) (value.Value, error) {
-			if !s.bound[slot] {
-				return value.NullValue, notCompilable(pos, "unbound variable %s at runtime", name)
-			}
-			return s.val[slot], nil
-		}, nil
-	case *pql.BinExpr:
-		l, err := rc.compileTerm(t.L)
+func (rc *ruleCompiler) matchers(ts []pql.Term) ([]slotMatch, error) {
+	out := make([]slotMatch, len(ts))
+	for i, t := range ts {
+		m, err := rc.matcher(t)
 		if err != nil {
 			return nil, err
 		}
-		if t.Op == pql.OpNeg {
-			return func(s *slots) (value.Value, error) {
-				lv, err := l(s)
-				if err != nil {
-					return value.NullValue, err
-				}
-				return value.Neg(lv)
-			}, nil
-		}
-		rf, err := rc.compileTerm(t.R)
-		if err != nil {
-			return nil, err
-		}
-		op := t.Op
-		return func(s *slots) (value.Value, error) {
-			lv, err := l(s)
-			if err != nil {
-				return value.NullValue, err
-			}
-			rv, err := rf(s)
-			if err != nil {
-				return value.NullValue, err
-			}
-			switch op {
-			case pql.OpAdd:
-				return value.Add(lv, rv)
-			case pql.OpSub:
-				return value.Sub(lv, rv)
-			case pql.OpMul:
-				return value.Mul(lv, rv)
-			case pql.OpDiv:
-				return value.Div(lv, rv)
-			default:
-				return value.Mod(lv, rv)
-			}
-		}, nil
-	case *pql.Call:
-		fn, ok := rc.q.Env().Funcs[t.Name]
-		if !ok {
-			return nil, notCompilable(t.Pos, "unknown function %s", t.Name)
-		}
-		args := make([]termFn, len(t.Args))
-		for i, a := range t.Args {
-			af, err := rc.compileTerm(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = af
-		}
-		return func(s *slots) (value.Value, error) {
-			vals := make([]value.Value, len(args))
-			for i, af := range args {
-				v, err := af(s)
-				if err != nil {
-					return value.NullValue, err
-				}
-				vals[i] = v
-			}
-			return fn.Fn(vals)
-		}, nil
-	default:
-		return nil, notCompilable(rc.r.Pos, "cannot compile term %s", t)
+		out[i] = m
 	}
+	return out, nil
+}
+
+// compileDrive compiles a global rule's driving IDB literal as the delta
+// step. It runs before every other step, so an argument expression may
+// only read variables bound by earlier arguments of the same literal.
+func (rc *ruleCompiler) compileDrive(a *pql.Atom) error {
+	local := map[string]bool{}
+	st := slotStep{kind: stepPositive, pred: a.Pred, pos: a.Pos, isDelta: true}
+	for _, arg := range a.Args {
+		if _, simple := arg.(*pql.Var); !simple {
+			var vs []*pql.Var
+			for _, v := range pql.Vars(arg, vs) {
+				if !local[v.Name] {
+					return notCompilable(a.Pos, "driving literal argument %s reads %s before the scan binds it", arg, v.Name)
+				}
+			}
+		}
+		m, err := rc.matcher(arg)
+		if err != nil {
+			return err
+		}
+		if v, ok := asVar(arg); ok {
+			local[v] = true
+		}
+		st.match = append(st.match, m)
+	}
+	rc.drive = &st
+	rc.drivePred = a.Pred
+	return nil
 }
 
 // compileCmp compiles a comparison when its variables are bound (or it is a
 // binder). ok=false means "not schedulable yet".
-func (rc *ruleCompiler) compileCmp(c *pql.CmpLit) (cstep, bool, error) {
+func (rc *ruleCompiler) compileCmp(c *pql.CmpLit) (slotStep, bool, error) {
 	lb, rb := rc.isBound(c.L), rc.isBound(c.R)
 	// Binder: fresh var = ground expr.
 	if c.Op == pql.CmpEq {
-		if v, ok := asVar(c.L); ok && !rc.bound[rc.slot(v)] && rb {
-			fn, err := rc.compileTerm(c.R)
-			if err != nil {
-				return nil, false, err
-			}
-			slot := rc.slot(v)
-			rc.bound[slot] = true
-			return func(rv *RecordView, s *slots, k func() error) error {
-				val, err := fn(s)
-				if err != nil {
-					return err
-				}
-				return bindVal(s, slot, val, k)
-			}, true, nil
+		if st, ok, err := rc.compileBinder(c.L, c.R, rb); ok || err != nil {
+			return st, ok, err
 		}
-		if v, ok := asVar(c.R); ok && !rc.bound[rc.slot(v)] && lb {
-			fn, err := rc.compileTerm(c.L)
-			if err != nil {
-				return nil, false, err
-			}
-			slot := rc.slot(v)
-			rc.bound[slot] = true
-			return func(rv *RecordView, s *slots, k func() error) error {
-				val, err := fn(s)
-				if err != nil {
-					return err
-				}
-				return bindVal(s, slot, val, k)
-			}, true, nil
+		if st, ok, err := rc.compileBinder(c.R, c.L, lb); ok || err != nil {
+			return st, ok, err
 		}
 	}
 	if !lb || !rb {
-		return nil, false, nil
+		return slotStep{}, false, nil
 	}
-	lf, err := rc.compileTerm(c.L)
+	lf, err := rc.term(c.L)
 	if err != nil {
-		return nil, false, err
+		return slotStep{}, false, err
 	}
-	rf, err := rc.compileTerm(c.R)
+	rf, err := rc.term(c.R)
 	if err != nil {
-		return nil, false, err
+		return slotStep{}, false, err
 	}
-	op := c.Op
-	return func(rv *RecordView, s *slots, k func() error) error {
-		lv, err := lf(s)
+	return slotStep{kind: stepCompare, bindSlot: -1, cmpFn: compareFn(c.Op, c.Pos, lf, rf)}, true, nil
+}
+
+// compileBinder compiles `v = expr` when v is an unbound variable and expr
+// is ground.
+func (rc *ruleCompiler) compileBinder(lhs, rhs pql.Term, rhsBound bool) (slotStep, bool, error) {
+	v, ok := asVar(lhs)
+	if !ok || rc.bound[rc.slot(v)] || !rhsBound {
+		return slotStep{}, false, nil
+	}
+	fn, err := rc.term(rhs)
+	if err != nil {
+		return slotStep{}, false, err
+	}
+	slot := rc.slot(v)
+	rc.bound[slot] = true
+	return slotStep{kind: stepCompare, bindSlot: slot, bindFn: fn}, true, nil
+}
+
+// compilePositive compiles one positive relational literal into a step.
+func (rc *ruleCompiler) compilePositive(a *pql.Atom, kind RuleKind) (slotStep, error) {
+	if _, isIDB := rc.q.IDBs[a.Pred]; isIDB {
+		return rc.compileIDBLookup(a)
+	}
+	st := slotStep{pred: a.Pred, pos: a.Pos}
+	var err error
+	switch a.Pred {
+	case "superstep":
+		st.kind = stepSuperstep
+		st.match, err = rc.withSS(nil, a.Args[1])
+	case "value":
+		// value(X, D, SS) where SS is the current or the predecessor
+		// superstep (satisfied from retention).
+		st.kind = stepValue
+		if v, ok := asVar(a.Args[2]); ok && rc.prevSSVar != "" && v == rc.prevSSVar {
+			st.kind = stepPrevValue
+			st.match, err = rc.matchers(a.Args[1:3])
+		} else if st.match, err = rc.matchers(a.Args[1:2]); err == nil {
+			st.match, err = rc.withSS(st.match, a.Args[2])
+		}
+	case "evolution":
+		st.kind = stepEvolution
+		st.match, err = rc.matchers(a.Args[1:3])
+	case "receive_message", "send_message":
+		st.kind, st.sends = stepMessages, a.Pred == "send_message"
+		if st.match, err = rc.matchers(a.Args[1:3]); err == nil {
+			st.match, err = rc.withSS(st.match, a.Args[3])
+		}
+	case "prov_send":
+		st.kind = stepProvSend
+		st.match, err = rc.withSS(nil, a.Args[1])
+	case "edge":
+		return rc.compileEdge(a, kind)
+	case "edge_value":
+		return rc.compileEdgeValue(a)
+	default: // emitted analytic table
+		return rc.compileEmitted(a)
+	}
+	return st, err
+}
+
+// withSS appends the match for the superstep argument of a record-local
+// literal: it must be the current superstep variable (or a constant or
+// bound term).
+func (rc *ruleCompiler) withSS(ms []slotMatch, t pql.Term) ([]slotMatch, error) {
+	if v, ok := asVar(t); ok {
+		if rc.prevSSVar != "" && v == rc.prevSSVar {
+			return nil, notCompilable(rc.r.Pos, "only value literals may reference the evolution predecessor superstep")
+		}
+		if rc.curSSVar == "" {
+			rc.curSSVar = v
+		}
+		if v != rc.curSSVar && !rc.bound[rc.slot(v)] {
+			return nil, notCompilable(rc.r.Pos, "superstep variable %s does not match the rule's current superstep", v)
+		}
+	}
+	m, err := rc.matcher(t)
+	if err != nil {
+		return nil, err
+	}
+	return append(ms, m), nil
+}
+
+// compileEmitted compiles an emitted analytic table literal, laid out
+// table(X, payload..., I). A bound first payload argument (e.g. the
+// neighbor in Query 7) probes the per-record index instead of scanning.
+func (rc *ruleCompiler) compileEmitted(a *pql.Atom) (slotStep, error) {
+	arity, _ := rc.env.EDBArity(a.Pred)
+	if len(a.Args) != arity {
+		return slotStep{}, notCompilable(a.Pos, "emitted table %s arity mismatch", a.Pred)
+	}
+	st := slotStep{kind: stepEmitted, pred: a.Pred, pos: a.Pos}
+	if len(a.Args) > 3 && rc.isBound(a.Args[1]) {
+		p, err := rc.src(a.Args[1])
 		if err != nil {
-			return err
+			return slotStep{}, err
 		}
-		rvv, err := rf(s)
+		st.kind, st.probe = stepEmittedKey, []slotSrc{p}
+	}
+	var err error
+	if st.match, err = rc.matchers(a.Args[1 : len(a.Args)-1]); err != nil {
+		return slotStep{}, err
+	}
+	st.match, err = rc.withSS(st.match, a.Args[len(a.Args)-1])
+	return st, err
+}
+
+// compileEdge compiles the static edge(A, B) literal: membership test,
+// out-neighbor enumeration, in-neighbor enumeration, or (for static rules)
+// a full edge scan.
+func (rc *ruleCompiler) compileEdge(a *pql.Atom, kind RuleKind) (slotStep, error) {
+	st := slotStep{pred: a.Pred, pos: a.Pos}
+	aBound, bBound := rc.isBound(a.Args[0]), rc.isBound(a.Args[1])
+	var probe []pql.Term
+	var err error
+	switch {
+	case aBound && bBound:
+		st.kind, probe = stepEdgeMember, a.Args[:2]
+	case aBound:
+		st.kind, probe = stepEdgeOut, a.Args[:1]
+		st.match, err = rc.matchers(a.Args[1:2])
+	case bBound:
+		st.kind, probe = stepEdgeIn, a.Args[1:2]
+		st.match, err = rc.matchers(a.Args[:1])
+	default:
+		if kind != RuleStatic {
+			return slotStep{}, notCompilable(a.Pos, "unanchored edge scan outside a static rule")
+		}
+		st.kind = stepEdgeAll
+		st.match, err = rc.matchers(a.Args[:2])
+	}
+	if err != nil {
+		return slotStep{}, err
+	}
+	for _, t := range probe {
+		p, err := rc.src(t)
 		if err != nil {
-			return err
+			return slotStep{}, err
 		}
-		ok := false
-		switch op {
-		case pql.CmpEq:
-			ok = lv.Equal(rvv)
-		case pql.CmpNeq:
-			ok = !lv.Equal(rvv)
-		case pql.CmpLt:
-			ok = lv.Compare(rvv) < 0
-		case pql.CmpLe:
-			ok = lv.Compare(rvv) <= 0
-		case pql.CmpGt:
-			ok = lv.Compare(rvv) > 0
-		case pql.CmpGe:
-			ok = lv.Compare(rvv) >= 0
+		st.probe = append(st.probe, p)
+	}
+	return st, nil
+}
+
+// compileEdgeValue compiles edge_value(X, Y, W, SS): X is the anchor; the
+// superstep position matches the feeder convention (static weights, I=0),
+// so it accepts wildcards, the constant 0, or binds a fresh var to 0.
+func (rc *ruleCompiler) compileEdgeValue(a *pql.Atom) (slotStep, error) {
+	st := slotStep{kind: stepEdgeValue, pred: a.Pred, pos: a.Pos}
+	yBound := rc.isBound(a.Args[1])
+	var p slotSrc
+	var err error
+	if yBound {
+		if p, err = rc.src(a.Args[1]); err != nil {
+			return slotStep{}, err
 		}
-		if !ok {
-			return nil
+	}
+	ws, err := rc.matchers(a.Args[2:4])
+	if err != nil {
+		return slotStep{}, err
+	}
+	if yBound {
+		st.kind, st.probe, st.match = stepEdgeValueAt, []slotSrc{p}, ws
+		return st, nil
+	}
+	my, err := rc.matcher(a.Args[1])
+	if err != nil {
+		return slotStep{}, err
+	}
+	st.match = append([]slotMatch{my}, ws...)
+	return st, nil
+}
+
+// compileIDBLookup compiles a positive IDB literal into an indexed database
+// lookup keyed by the argument positions bound before the step. The index
+// guarantees the key columns, so they need no match action.
+func (rc *ruleCompiler) compileIDBLookup(a *pql.Atom) (slotStep, error) {
+	if len(a.Args) != rc.q.IDBs[a.Pred] {
+		return slotStep{}, notCompilable(a.Pos, "IDB %s arity mismatch", a.Pred)
+	}
+	st := slotStep{kind: stepPositive, pred: a.Pred, pos: a.Pos, match: make([]slotMatch, len(a.Args))}
+	key := make([]bool, len(a.Args))
+	for i, arg := range a.Args {
+		if !rc.isBound(arg) {
+			continue
 		}
-		return k()
-	}, true, nil
+		s, err := rc.src(arg)
+		if err != nil {
+			return slotStep{}, err
+		}
+		key[i] = true
+		st.lookupCols = append(st.lookupCols, i)
+		st.lookupSrc = append(st.lookupSrc, s)
+	}
+	st.colsKey = encodeCols(st.lookupCols)
+	for i, arg := range a.Args {
+		if key[i] {
+			continue
+		}
+		m, err := rc.matcher(arg)
+		if err != nil {
+			return slotStep{}, err
+		}
+		st.match[i] = m
+	}
+	return st, nil
+}
+
+// compileNegated compiles !p(args...) with ground arguments: an IDB (or
+// record-local message) membership test.
+func (rc *ruleCompiler) compileNegated(a *pql.Atom) (slotStep, error) {
+	st := slotStep{kind: stepNegated, pred: a.Pred, pos: a.Pos}
+	args := a.Args
+	if _, isIDB := rc.q.IDBs[a.Pred]; !isIDB {
+		switch a.Pred {
+		case "receive_message", "send_message":
+			st.kind, st.sends, args = stepNegMessages, a.Pred == "send_message", a.Args[1:4]
+		default:
+			return slotStep{}, notCompilable(a.Pos, "negated %s is not compilable", a.Pred)
+		}
+	}
+	for _, arg := range args {
+		s, err := rc.src(arg)
+		if err != nil {
+			return slotStep{}, err
+		}
+		if st.kind == stepNegated {
+			st.negSrc = append(st.negSrc, s)
+		} else {
+			st.probe = append(st.probe, s)
+		}
+	}
+	return st, nil
 }

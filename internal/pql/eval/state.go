@@ -18,8 +18,8 @@ import (
 // error).
 
 // Clear empties the relation in place, preserving its identity: compiled
-// rules capture *Relation pointers in their emit closures, so restore must
-// refill the same objects rather than swap them.
+// rules hold *Relation pointers to their heads, so restore must refill the
+// same objects rather than swap them.
 func (r *Relation) Clear() {
 	r.rows = map[string]Tuple{}
 	r.order = nil
@@ -86,7 +86,7 @@ func (d *Database) LoadState(r *value.BlobReader) error {
 // deterministic for a given query).
 func (c *Compiled) SaveState(w *value.Blob) {
 	w.Bool(c.staticDone)
-	w.Uvarint(uint64(c.derived))
+	w.Uvarint(uint64(c.rn.derived))
 	w.Uvarint(uint64(c.records))
 	var cursors []int
 	for _, stratum := range c.strata {
@@ -104,7 +104,7 @@ func (c *Compiled) SaveState(w *value.Blob) {
 // the same query.
 func (c *Compiled) LoadState(r *value.BlobReader) error {
 	c.staticDone = r.Bool()
-	c.derived = int64(r.Uvarint())
+	c.rn.derived = int64(r.Uvarint())
 	c.records = int64(r.Uvarint())
 	n := r.Count()
 	var rules []*crule
