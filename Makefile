@@ -58,7 +58,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkLayeredReplay' -benchmem -count 1 \
 		./internal/driver/ >> bench-micro.out
 	$(GO) run ./cmd/benchjson -out BENCH_micro.json \
-		-max-transport-overhead 1.5 -min-bytes-reduction 2 < bench-micro.out
+		-max-transport-overhead 1.5 -max-wire-bytes-per-superstep 10100 < bench-micro.out
 	rm -f bench-micro.out
 
 # bench-store runs just the provenance-storage benchmarks — spill pipeline,

@@ -85,8 +85,9 @@ type (
 	// EvalOption tunes PQL evaluation (QueryOffline and online queries):
 	// shard-parallel worker count, sequential reference leg, layer prefetch.
 	EvalOption = driver.EvalOpt
-	// Transport executes partition supersteps, in-process or on remote
-	// worker processes (see WithTransport and internal/transport).
+	// Transport executes partition supersteps on worker processes that
+	// keep the partitions' state resident between supersteps, and runs the
+	// delivery barrier there (see WithTransport and internal/transport).
 	Transport = engine.Transport
 )
 
@@ -384,11 +385,12 @@ func WithCheckpointRetention(keep int) Option {
 	}
 }
 
-// WithTransport routes each partition's superstep compute through t — an
-// in-process executor leg or a TCP client to worker processes (package
-// internal/transport, `ariadne worker` / `run -transport tcp`). The barrier,
-// capture, checkpointing, and query evaluation still run in this process,
-// so results are bit-identical to a local run. Pair with WithSupervision:
+// WithTransport routes each partition's superstep compute and message
+// delivery through t — a TCP client to worker processes (package
+// internal/transport, `ariadne worker` / `run -transport tcp`). Capture,
+// checkpointing, and query evaluation still run in this process, and the
+// workers fold messages in the local barrier's order, so results are
+// bit-identical to a local run. Pair with WithSupervision:
 // transport failures then retry under the supervision policy, and a
 // partition unreachable past MaxRetries falls back to local execution with
 // its provenance capture shed (surfaced in Result.CaptureGaps) when

@@ -207,7 +207,6 @@ func cmdRun(args []string) error {
 	online := fs.String("online", "", "comma-separated online queries (apt[:eps], q4, q5, q6)")
 	faults := fs.String("faults", "", `fault-injection spec, e.g. "compute:mode=panic:ss=3:vertex=7" or "spill.write:times=2" (clauses joined with ;)`)
 	workerFaults := fs.String("worker-faults", "", `fault spec forwarded to spawned workers (peer-mesh sites live worker-side), e.g. "peer.send:mode=drop:part=1:ss=2"`)
-	fullState := fs.Bool("full-state", false, "disable worker-resident state: ship full frontiers and relay every outbox through the master (the pre-delta classic exchange)")
 	noNetCompress := fs.Bool("no-net-compress", false, "disable snappy frame compression on the TCP transport (skip offering the capability at handshake)")
 	ckDir := fs.String("checkpoint", "", "checkpoint directory (enables superstep checkpointing)")
 	ckEvery := fs.Int("checkpoint-every", 5, "supersteps between checkpoints")
@@ -402,7 +401,6 @@ func cmdRun(args []string) error {
 			HeartbeatInterval: *netHeartbeat,
 			HeartbeatMisses:   *netHeartbeatMisses,
 			NoFailover:        !*failover,
-			ForceFullState:    *fullState,
 			NoCompress:        *noNetCompress,
 			Fault:             inj,
 			Metrics:           metrics,

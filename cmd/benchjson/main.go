@@ -105,10 +105,10 @@ func main() {
 		"maximum tcp-loopback/in-process full-run time ratio (the transport "+
 			"seam's serialization + framing cost; worker-resident state keeps "+
 			"it well under 1.5x on a loopback container)")
-	minBytesReduction := flag.Float64("min-bytes-reduction", 2,
-		"minimum full-state/delta wire bytes-per-superstep ratio (how much "+
-			"worker-resident delta exchanges shrink the exchanged traffic "+
-			"versus shipping full frontiers every superstep)")
+	maxWireBytes := flag.Float64("max-wire-bytes-per-superstep", 10100,
+		"maximum wire bytes per superstep of the 1-worker TCP-loopback "+
+			"PageRank run (master link plus worker mesh; the delta exchange "+
+			"moved ~10.0k, the full-frontier exchange it replaced ~103k)")
 	maxTrace := flag.Float64("max-trace-overhead", 1.05,
 		"maximum traced/untraced full-run time ratio over TCP loopback "+
 			"(span tracing must cost at most 5% on an instrumented run)")
@@ -190,15 +190,18 @@ func main() {
 				fmt.Sprintf("transport_overhead %.2f > %.2f", v, *maxTransport))
 		}
 	}
-	// bytes_per_superstep_reduction is a floor: the delta exchange must move
-	// materially fewer bytes per superstep than the classic full-frontier
-	// exchange of the same run (tcp-full forces ForceFullState).
-	if wants("bytes_per_superstep_reduction") {
-		if v := ratio(rep, benches, "bytes_per_superstep_reduction",
-			"BenchmarkTransportRun/tcp-full",
-			"BenchmarkTransportRun/tcp", "wire-B/ss"); v > 0 && v < *minBytesReduction {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("bytes_per_superstep_reduction %.2f < %.2f", v, *minBytesReduction))
+	// wire_bytes_per_superstep is an absolute ceiling on what the delta
+	// exchange moves per superstep: the bytes are deterministic up to the
+	// frames' sequence-number varints, so it is hardware-independent.
+	if wants("wire_bytes_per_superstep") {
+		if v, ok := metric(benches, "BenchmarkTransportRun/tcp", "wire-B/ss"); !ok {
+			rep.Failures = append(rep.Failures, "wire_bytes_per_superstep: missing wire-B/ss for BenchmarkTransportRun/tcp")
+		} else {
+			rep.Ratios["wire_bytes_per_superstep"] = v
+			if v > *maxWireBytes {
+				rep.Failures = append(rep.Failures,
+					fmt.Sprintf("wire_bytes_per_superstep %.0f > %.0f", v, *maxWireBytes))
+			}
 		}
 	}
 	// Assembling and writing a wire frame must not allocate: the pooled

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -142,8 +143,8 @@ func TestActiveAtForcesComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var computed []int
-	prog := recorderProg{hit: &computed}
+	rec := &vertexLog{}
+	prog := recorderProg{log: rec}
 	e, err := New(g, prog, Config{
 		MaxSupersteps: 4,
 		ActiveAt: func(ss int) []VertexID {
@@ -166,16 +167,25 @@ func TestActiveAtForcesComputation(t *testing.T) {
 		t.Errorf("supersteps = %d, want 3", stats.Supersteps)
 	}
 	want := 4 + 1 + 1
-	if len(computed) != want {
-		t.Errorf("computed %d vertex steps, want %d", len(computed), want)
+	if got := len(rec.ids); got != want {
+		t.Errorf("computed %d vertex steps, want %d", got, want)
 	}
 }
 
-type recorderProg struct{ hit *[]int }
+// vertexLog collects the vertices recorderProg computed. Partitions run on
+// concurrent goroutines, so appends go through the mutex.
+type vertexLog struct {
+	mu  sync.Mutex
+	ids []int
+}
+
+type recorderProg struct{ log *vertexLog }
 
 func (recorderProg) InitialValue(_ *graph.Graph, _ VertexID) value.Value { return value.NewInt(0) }
 func (p recorderProg) Compute(ctx *Context, _ []IncomingMessage) error {
-	*p.hit = append(*p.hit, int(ctx.ID()))
+	p.log.mu.Lock()
+	p.log.ids = append(p.log.ids, int(ctx.ID()))
+	p.log.mu.Unlock()
 	return nil
 }
 

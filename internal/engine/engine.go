@@ -292,8 +292,8 @@ type Engine struct {
 	// goroutines read.
 	localPinned []atomic.Bool
 
-	// Worker-resident state (PR 9). When the transport keeps partition state
-	// on the workers, the master stops shipping frontiers and relaying
+	// Worker-resident state. With a Transport, partition state lives
+	// on the workers, and the master neither ships frontiers nor relays
 	// outboxes: it tracks only each partition's next active set
 	// (residentActive, from the delivery barrier), which superstep its own
 	// arrays were last authoritative for (masterAuthSS, advanced by
@@ -302,8 +302,6 @@ type Engine struct {
 	// pinnedAtSS so that superstep's delivery knows its fragments died with
 	// the workers. effComb is the run's effective combiner (nil when an
 	// observer needs raw messages) — the replay engine must match it.
-	resident       bool
-	stateful       StatefulTransport
 	residentActive [][]VertexID
 	pinnedAtSS     []int
 	masterAuthSS   int
@@ -355,9 +353,7 @@ func New(g *graph.Graph, prog Program, cfg Config) (*Engine, error) {
 	e.localPinned = make([]atomic.Bool, e.nParts)
 	e.runCtx = context.Background()
 	e.lastCkptSS = -1
-	if st, ok := cfg.Transport.(StatefulTransport); ok && st.Resident() {
-		e.resident = true
-		e.stateful = st
+	if cfg.Transport != nil {
 		e.residentActive = make([][]VertexID, e.nParts)
 		e.pinnedAtSS = make([]int, e.nParts)
 		for i := range e.pinnedAtSS {
@@ -422,7 +418,7 @@ func (e *Engine) Run() (RunStats, error) {
 	if e.cfg.Context != nil {
 		e.runCtx = e.cfg.Context
 	}
-	if e.resident {
+	if e.cfg.Transport != nil {
 		// The master's arrays are authoritative exactly at the run's start
 		// (fresh init, or a checkpoint restore); workers take over from the
 		// first superstep on. Seed the active tracking from the inboxes —
@@ -454,7 +450,7 @@ func (e *Engine) Run() (RunStats, error) {
 				// configured) so the interrupted run resumes from this
 				// superstep instead of the last periodic snapshot.
 				if ck := e.cfg.Checkpoint; ck != nil && ck.Dir != "" && ck.Interval > 0 && ss != e.lastCkptSS {
-					if e.resident {
+					if e.cfg.Transport != nil {
 						if cerr := e.collectResident(ss); cerr != nil {
 							m.Tracef(obs.Error, "checkpoint", ss, "state collect before final checkpoint failed: %v", cerr)
 						}
@@ -484,7 +480,7 @@ func (e *Engine) Run() (RunStats, error) {
 			totalActive = e.g.NumVertices()
 		} else {
 			for p := 0; p < e.nParts; p++ {
-				if e.resident && !e.localPinned[p].Load() {
+				if e.cfg.Transport != nil && !e.localPinned[p].Load() {
 					// Worker-resident partition: the active set came back
 					// from the delivery barrier, not a master inbox.
 					act := e.residentActive[p]
@@ -595,7 +591,7 @@ func (e *Engine) Run() (RunStats, error) {
 			sent += results[ri].sent
 			combinedSender += results[ri].combinedSender
 		}
-		if e.resident {
+		if e.cfg.Transport != nil {
 			var derr error
 			delivered, combined, maxShard, derr = e.residentDeliver(ss, combiner, results)
 			if derr != nil {
@@ -660,7 +656,7 @@ func (e *Engine) Run() (RunStats, error) {
 		// ss+1 depends on, including observer state as of the superstep the
 		// observers just processed.
 		if ck := e.cfg.Checkpoint; ck != nil && ck.Dir != "" && ck.Interval > 0 && (ss+1)%ck.Interval == 0 {
-			if e.resident {
+			if e.cfg.Transport != nil {
 				// Pull the worker-resident state home first so the snapshot
 				// holds the exact frontier (and later seeds come cheap).
 				if err := e.collectResident(ss + 1); err != nil {
@@ -685,7 +681,7 @@ func (e *Engine) Run() (RunStats, error) {
 		}
 	}
 
-	if e.resident {
+	if e.cfg.Transport != nil {
 		// The run is over: pull every worker-resident partition's final
 		// state back into the master's arrays so Values() reads the result.
 		if err := e.collectResident(e.stateSS); err != nil {
@@ -969,7 +965,7 @@ func (e *Engine) activeIDs(p, ss int, forced []VertexID) []VertexID {
 		}
 		return ids
 	}
-	if e.resident && !e.localPinned[p].Load() {
+	if e.cfg.Transport != nil && !e.localPinned[p].Load() {
 		act := e.residentActive[p]
 		ids := make([]VertexID, 0, len(act)+len(forced))
 		ids = append(ids, act...)

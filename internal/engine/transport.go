@@ -1,14 +1,15 @@
 // Transport boundary: the superstep compute/exchange seam the distributed
 // runtime plugs into. The engine remains the single coordinator ("master" in
-// BLADYG terms): it owns the authoritative vertex values, inboxes,
-// aggregators, observers, and checkpoints, and each superstep it hands every
-// partition's work — active vertices, their current values, their inbox —
-// to a Transport, which executes the vertex programs either on an in-process
-// executor or on a remote worker process and returns the partition's
-// outboxes, records, and aggregator contributions. Because the barrier-side
-// delivery, combining, observation, and checkpointing code is exactly the
-// code the in-process path runs, a transport-backed run is bit-identical to
-// a local one by construction; only *where* Compute executes changes.
+// BLADYG terms): it owns the aggregators, observers, and checkpoints and
+// decides each superstep's active sets, while the partitions' values and
+// inboxes live on the workers that compute them (resident.go). Each
+// superstep it sends every partition's active vertex IDs to a Transport,
+// which executes the vertex programs on a worker process and returns the
+// partition's records, message accounting, and aggregator contributions;
+// the delivery barrier then runs on the workers through Transport.Deliver,
+// folding fragments in the master barrier's exact association order. A
+// transport-backed run is therefore bit-identical to a local one; only
+// *where* Compute and delivery execute changes.
 //
 // Robustness contract: a Transport failure (connection loss, exceeded
 // message deadlines, an unreachable peer) is reported as an error wrapping
@@ -16,10 +17,11 @@
 // as ExecResult.Crash and is reconstructed into the same CrashError a local
 // run would produce. The recovery ladder, in order: the transport's own
 // per-message retransmit budget; partition failover inside the transport's
-// worker pool (the TCP leg reroutes the same ExecRequest to a surviving
-// worker — any worker computes it bit-identically and capture is fully
-// preserved, so a worker death costs nothing but latency while survivors
-// remain); the engine's supervised partition retry; and finally, when the
+// worker pool (the TCP leg reroutes the request to a surviving worker,
+// which the engine re-seeds with the partition's exact state — capture is
+// fully preserved, so a worker death costs nothing but latency while
+// survivors remain); the engine's supervised partition retry; and finally,
+// when the
 // transport reports that no workers remain, local re-execution — the engine
 // pins the partition local from the superstep barrier (the master holds the
 // program and graph, so the analytic completes bit-identically) while
@@ -52,59 +54,62 @@ var ErrTransport = errors.New("transport failure")
 // because it holds no resident state for the partition at that superstep
 // (fresh worker, failover target, or a worker that lost a delivery round).
 // It deliberately does NOT wrap ErrTransport: the worker is alive and
-// answering — the master re-seeds it with a full-state request instead of
+// answering — the master re-seeds it with a seed request instead of
 // failing the partition over or pinning it local.
 var ErrStateMiss = errors.New("worker resident-state miss")
 
-// ExecMode selects how much state an ExecRequest carries (wire v3, PR 9).
+// ExecMode selects how much state an ExecRequest carries.
 //
-// The zero value is ModeClassic — the stateless exchange of PRs 6–8, where
-// every request ships the frontier's values, previous-active marks, and
-// inbox, and every result returns the new values and the full outbox. Direct
-// Executor/Transport users (tests, tools) that construct bare requests get
-// exactly the legacy semantics.
-//
-// Under a StatefulTransport the engine switches to ModeDelta: workers keep
-// partition state resident across supersteps, requests carry only the active
-// vertex IDs and control metadata, and results return accounting, records,
-// and the master-resident outbox columns — the values and the cross-worker
-// messages never transit the master. ModeSeed is ModeDelta plus a full
-// partition state install (stride values, last-active marks, inbox): the
-// master sends it on a fresh run's first superstep miss, after failover, or
-// after a replay re-hydration.
+// ModeDelta is the steady state: the worker already holds the partition's
+// values, last-active marks, and inbox, so the request carries only the
+// active vertex IDs and control metadata, and the result returns
+// accounting, records, and the master-resident outbox columns — the values
+// and the cross-worker messages never transit the master. ModeSeed is
+// ModeDelta plus a full partition state install (stride values,
+// last-active marks, inbox): the master sends it after a worker reports a
+// state miss — a fresh worker's first superstep, a failover target, or a
+// replay re-hydration. The zero value is not a valid mode.
 type ExecMode uint8
 
 const (
-	ModeClassic ExecMode = iota
-	ModeDelta
+	ModeDelta ExecMode = iota + 1
 	ModeSeed
 )
 
-// Transport executes one partition's superstep compute, either in-process
-// or on a remote worker. Exec must be safe for concurrent calls (the engine
-// issues one call per partition per superstep, from the per-partition worker
-// goroutines) and must be synchronous: when ctx is cancelled or its deadline
-// expires the call returns promptly so a supervised retry never races an
-// abandoned attempt.
+// Transport executes partition supersteps on workers that keep the
+// partitions' state resident between supersteps, and runs the delivery
+// barrier there.
 //
-// Exec errors wrapping ErrTransport mean the request may not have reached
-// the worker (or the reply was lost); the engine treats the request as
-// idempotent — ExecRequest is a pure function of its payload — and re-sends
-// it on retry. A remote vertex-program failure is NOT an Exec error: it
-// comes back inside ExecResult.Crash so the master reproduces the exact
-// CrashError (culprit vertex, superstep, panic/fault cause) a local run
-// would have raised.
+// Exec computes one partition superstep. It must be safe for concurrent
+// calls (the engine issues one call per partition per superstep, from the
+// per-partition worker goroutines) and must be synchronous: when ctx is
+// cancelled or its deadline expires the call returns promptly so a
+// supervised retry never races an abandoned attempt. Errors wrapping
+// ErrTransport mean the request may not have reached the worker (or the
+// reply was lost); the engine treats the request as idempotent — the
+// worker rolls back a duplicate execution — and re-sends it on retry. An
+// error wrapping ErrStateMiss asks the engine to re-send the request as a
+// seed. A remote vertex-program failure is NOT an Exec error: it comes back
+// inside ExecResult.Crash so the master reproduces the exact CrashError
+// (culprit vertex, superstep, panic/fault cause) a local run would have
+// raised.
+//
+// Deliver runs the delivery barrier (or a state collect) for the listed
+// partitions on the workers holding them. Partitions it cannot serve come
+// back OK=false and the engine re-hydrates them from checkpoint + replay.
 type Transport interface {
 	Exec(ctx context.Context, req *ExecRequest) (*ExecResult, error)
+	Deliver(ctx context.Context, req *DeliverRequest) (*DeliverResult, error)
 	Close() error
 }
 
 // ExecRequest carries everything one partition needs to compute one
-// superstep: the active vertices in ascending order with their current
-// values and previous-active supersteps, the per-vertex inbox, and the
-// merged aggregator values of the previous superstep. It is a pure value —
-// executing it twice yields the same ExecResult — which is what licenses
-// at-least-once delivery with receiver-side reply dedup in the TCP leg.
+// superstep on a worker holding its state: the active vertices in
+// ascending order, the merged aggregator values of the previous superstep,
+// the peer-mesh route, and — for a seed — the full partition state.
+// Executing it twice yields the same ExecResult (the worker rolls back a
+// duplicate), which is what licenses at-least-once delivery with
+// receiver-side reply dedup in the TCP leg.
 type ExecRequest struct {
 	Superstep int
 	Partition int
@@ -115,12 +120,8 @@ type ExecRequest struct {
 	// program's combiner (both sides are constructed from the same analytic,
 	// so the association order matches the local path exactly).
 	Combine bool
-	// Active lists the vertices to compute, ascending. Values and PrevActive
-	// align with it; Inbox[i] holds the messages for Active[i] (may be nil).
-	Active     []VertexID
-	Values     []value.Value
-	PrevActive []int32
-	Inbox      [][]IncomingMessage
+	// Active lists the vertices to compute, ascending.
+	Active []VertexID
 	// Agg holds the merged aggregator values of the previous superstep
 	// (Pregel read-your-previous-superstep semantics).
 	Agg map[string]float64
@@ -131,24 +132,23 @@ type ExecRequest struct {
 	// when tracing is off — the worker then records nothing.
 	TraceID    uint64
 	ParentSpan uint64
-	// Worker-resident state (PR 9). Mode selects the exchange shape; the
-	// remaining fields only matter when Mode != ModeClassic. For ModeDelta,
-	// Values/PrevActive/Inbox stay nil — the worker already holds them.
+	// Mode selects the exchange shape (delta or seed).
 	Mode ExecMode
 	// Route maps each destination partition to the address of the worker
 	// that owns it this superstep, so the executing worker sends outbox
 	// fragments directly across the peer mesh; "" keeps the column in the
 	// reply (the partition is master-resident). Filled by the transport at
-	// send time from its current assignment; nil under ModeClassic.
+	// send time from its current assignment.
 	Route []string
 	// LocalParts flags master-resident (pinned-local) partitions; the
 	// transport derives Route from it. Master-side only, not serialized.
 	LocalParts []bool
 	// Seed payload (ModeSeed): the partition's full state in stride order
-	// (vertex p, p+nParts, ...). Inbox then aligns with Active as in classic
-	// mode, carrying the messages of the seed superstep.
+	// (vertex p, p+nParts, ...), and the seed superstep's inbox: Inbox[i]
+	// holds the messages for Active[i] (may be nil). All nil for ModeDelta.
 	AllValues []value.Value
 	AllActive []int32
+	Inbox     [][]IncomingMessage
 }
 
 // OutMessage is one outbox entry on the wire: source and destination vertex
@@ -201,19 +201,17 @@ func (rc *RemoteCrash) Err() error {
 	return err
 }
 
-// ExecResult is one partition's completed superstep: new values for the
-// computed vertices, the per-destination-partition outboxes in canonical
-// emission order, the observer records (when requested), message accounting,
-// and the partition's aggregator partials. Crash is set instead when a
-// vertex failed; the other fields are then meaningless.
+// ExecResult is one partition's completed superstep: the outbox columns
+// that did not travel over the peer mesh, in canonical emission order, the
+// observer records (when requested), message accounting, and the
+// partition's aggregator partials. Crash is set instead when a vertex
+// failed; the other fields are then meaningless.
 type ExecResult struct {
 	Partition int
 	Crash     *RemoteCrash
 
-	Computed  []VertexID
-	NewValues []value.Value // aligned with Computed
-	Outbox    [][]OutMessage
-	Records   []VertexRecord
+	Outbox  [][]OutMessage
+	Records []VertexRecord
 
 	Sent           int64
 	CombinedSender int64
@@ -229,14 +227,13 @@ type ExecResult struct {
 	// the other fields are meaningless.
 	StateMiss bool
 	// DstCounts gives the per-destination-partition outbox sizes (after
-	// sender-side combining) for resident-mode results, where the routed
-	// columns themselves are not in Outbox. The master uses them for message
-	// accounting and to tell workers how many fragments to expect at the
-	// delivery barrier.
+	// sender-side combining); the routed columns themselves are not in
+	// Outbox. The master uses them for message accounting and to tell
+	// workers how many fragments to expect at the delivery barrier.
 	DstCounts []int64
 }
 
-// DeliverRequest is the delivery-barrier round of a resident-state run: for
+// DeliverRequest is the delivery-barrier round of a transport run: for
 // each listed partition, the owning worker folds the outbox fragments it
 // received over the peer mesh (plus any master-supplied fragments from
 // pinned-local partitions) into the partition's next inbox, mirroring the
@@ -291,26 +288,13 @@ type DeliverResult struct {
 	Parts []DeliverPart
 }
 
-// StatefulTransport is a Transport whose workers keep partition state
-// resident across supersteps. Resident reports whether the resident-state
-// protocol is active (a transport can implement the interface but opt out,
-// e.g. the TCP leg under ForceFullState); when true the engine sends delta
-// requests and drives the delivery barrier through Deliver, and falls back
-// to checkpoint + replay re-hydration when a worker (and the state it held)
-// is lost.
-type StatefulTransport interface {
-	Transport
-	Resident() bool
-	Deliver(ctx context.Context, req *DeliverRequest) (*DeliverResult, error)
-}
-
-// Executor runs partition supersteps against request-supplied state — the
+// Executor runs partition supersteps against worker-resident state — the
 // worker-process side of the transport. It wraps a private Engine over the
 // same graph and program the master holds; each Exec installs the request's
-// values, inbox, and aggregator snapshot, runs the partition exactly as the
-// master's in-process path would, and extracts the result. Exec is
-// serialized by an internal mutex (a worker serves one master connection,
-// but its partitions' requests may arrive back to back).
+// aggregator snapshot (and a seed's partition state), runs the partition
+// exactly as the master's in-process path would, and extracts the result.
+// Exec is serialized by an internal mutex (a worker serves one master
+// connection, but its partitions' requests may arrive back to back).
 type Executor struct {
 	mu sync.Mutex
 	e  *Engine
@@ -326,7 +310,6 @@ type residentPart struct {
 	// readySS is the superstep the resident state can execute (a fresh
 	// executor is authoritative for superstep 0 by construction: initial
 	// values, empty inboxes, last-active -1 — identical to a fresh master).
-	// -1 after a classic-mode request invalidates residency.
 	readySS int
 	// executedSS is the superstep that has executed but not yet been
 	// assembled at the delivery barrier; -1 when none. ids and snap hold the
@@ -385,13 +368,57 @@ func (x *Executor) Partitions() int { return x.e.nParts }
 // Graph returns the executor's graph (handshake fingerprint).
 func (x *Executor) Graph() *graph.Graph { return x.e.g }
 
-// Exec computes one partition superstep from the request's state. The
-// context bounds the attempt like a supervision deadline does locally:
-// cancellation aborts between vertices and surfaces as a RemoteCrash with
-// the deadline/cancel cause preserved.
-func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
+// validate checks a request against the executor before it touches any
+// state, so a corrupt or hostile request that passed the wire checksum is
+// refused instead of indexing out of range: the partition must exist, the
+// active IDs must be ascending vertices the partition owns, and a seed must
+// carry exactly the partition's stride state and one inbox per active
+// vertex.
+func (x *Executor) validate(req *ExecRequest) error {
+	e := x.e
+	p := req.Partition
+	if req.Mode != ModeDelta && req.Mode != ModeSeed {
+		return fmt.Errorf("engine: exec mode %d is neither delta nor seed", req.Mode)
+	}
+	if p < 0 || p >= e.nParts {
+		return fmt.Errorf("engine: partition %d out of range [0, %d)", p, e.nParts)
+	}
+	if req.Superstep < 0 {
+		return fmt.Errorf("engine: negative superstep %d", req.Superstep)
+	}
+	n := e.g.NumVertices()
+	for i, v := range req.Active {
+		if int(v) >= n || e.partition(v) != p {
+			return fmt.Errorf("engine: active vertex %d is not owned by partition %d", v, p)
+		}
+		if i > 0 && v <= req.Active[i-1] {
+			return fmt.Errorf("engine: active vertices not strictly ascending at %d", v)
+		}
+	}
+	if req.Mode == ModeSeed {
+		stride := e.strideLen(p)
+		if len(req.AllValues) != stride || len(req.AllActive) != stride {
+			return fmt.Errorf("engine: seed carries %d values and %d last-active marks, partition %d has %d vertices",
+				len(req.AllValues), len(req.AllActive), p, stride)
+		}
+		if len(req.Inbox) != len(req.Active) {
+			return fmt.Errorf("engine: seed carries %d inboxes for %d active vertices", len(req.Inbox), len(req.Active))
+		}
+	}
+	return nil
+}
+
+// Exec computes one partition superstep on the resident state, after
+// installing a seed's. The context bounds the attempt like a supervision
+// deadline does locally: cancellation aborts between vertices and surfaces
+// as a RemoteCrash with the deadline/cancel cause preserved. A request that
+// fails validation returns an error and leaves the state untouched.
+func (x *Executor) Exec(ctx context.Context, req *ExecRequest) (*ExecResult, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	if err := x.validate(req); err != nil {
+		return nil, err
+	}
 	e := x.e
 	p := req.Partition
 	rp := &x.res[p]
@@ -403,7 +430,7 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 			x.rollback(rp)
 		}
 		if rp.readySS != req.Superstep {
-			return &ExecResult{Partition: p, StateMiss: true}
+			return &ExecResult{Partition: p, StateMiss: true}, nil
 		}
 	case ModeSeed:
 		// Full state install: any pending exec is obsolete, the seed
@@ -424,18 +451,6 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 		}
 		e.inboxes[p] = inbox
 		rp.readySS = req.Superstep
-	default: // ModeClassic — the stateless exchange, exactly as before PR 9
-		rp.readySS, rp.executedSS = -1, -1
-		rp.deliverSS, rp.deliverRes = -1, nil
-		inbox := make(map[VertexID][]IncomingMessage, len(req.Active))
-		for i, v := range req.Active {
-			e.values[v] = req.Values[i]
-			e.lastActive[v] = req.PrevActive[i]
-			if len(req.Inbox[i]) > 0 {
-				inbox[v] = req.Inbox[i]
-			}
-		}
-		e.inboxes[p] = inbox
 	}
 	e.agg.setCurrent(req.Agg)
 	e.agg.resetPartition(p)
@@ -446,13 +461,10 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 	}
 	e.runCtx = context.Background() // any ctx expiry is attempt-scoped here
 
-	resident := req.Mode != ModeClassic
-	if resident {
-		rp.ids = append(rp.ids[:0], req.Active...)
-		rp.snap = rp.snap[:0]
-		for _, v := range req.Active {
-			rp.snap = append(rp.snap, e.values[v])
-		}
+	rp.ids = append(rp.ids[:0], req.Active...)
+	rp.snap = rp.snap[:0]
+	for _, v := range req.Active {
+		rp.snap = append(rp.snap, e.values[v])
 	}
 
 	// Reuse the engine's per-partition result buffer: the worker engine
@@ -463,12 +475,10 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 
 	res := &ExecResult{Partition: p, Sent: pr.sent, CombinedSender: pr.combinedSender}
 	if c := pr.crash; c != nil {
-		if resident {
-			// Restore the pre-exec values so the resident state stays exact
-			// for the supervised retry the master will issue.
-			for i, v := range rp.ids {
-				e.values[v] = rp.snap[i]
-			}
+		// Restore the pre-exec values so the resident state stays exact for
+		// the supervised retry the master will issue.
+		for i, v := range rp.ids {
+			e.values[v] = rp.snap[i]
 		}
 		res.Crash = &RemoteCrash{
 			Vertex:    c.Vertex,
@@ -479,20 +489,12 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 			Deadline:  errors.Is(c.Err, context.DeadlineExceeded),
 			Canceled:  errors.Is(c.Err, context.Canceled),
 		}
-		return res
+		return res, nil
 	}
-	if resident {
-		rp.executedSS = req.Superstep
-	} else {
-		res.Computed = append([]VertexID(nil), pr.computed...)
-		res.NewValues = make([]value.Value, len(pr.computed))
-		for i, v := range pr.computed {
-			res.NewValues[i] = e.values[v]
-		}
-	}
+	rp.executedSS = req.Superstep
 	res.Outbox = make([][]OutMessage, e.nParts)
 	selfRouted := func(dp int) bool {
-		return resident && dp < len(req.Route) && req.Route[dp] == "."
+		return dp < len(req.Route) && req.Route[dp] == "."
 	}
 	total := 0
 	for dp, msgs := range pr.outbox {
@@ -527,13 +529,11 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 		res.Records = append([]VertexRecord(nil), pr.records...)
 	}
 	res.Agg = e.agg.partial(p)
-	if resident {
-		res.DstCounts = make([]int64, e.nParts)
-		for dp := range res.Outbox {
-			res.DstCounts[dp] = int64(len(res.Outbox[dp]))
-		}
+	res.DstCounts = make([]int64, e.nParts)
+	for dp := range res.Outbox {
+		res.DstCounts[dp] = int64(len(res.Outbox[dp]))
 	}
-	return res
+	return res, nil
 }
 
 // Assemble runs partition p's delivery barrier for superstep ss on the
@@ -549,6 +549,9 @@ func (x *Executor) Assemble(ss, p int, combine bool, expected []int64, frags [][
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	e := x.e
+	if p < 0 || p >= e.nParts || len(expected) != e.nParts || len(frags) != e.nParts {
+		return &DeliverPart{Partition: p} // malformed round: serve nothing
+	}
 	rp := &x.res[p]
 	if rp.deliverSS == ss && rp.deliverRes != nil {
 		return rp.deliverRes // duplicate barrier round (lost reply)
@@ -629,6 +632,9 @@ func (x *Executor) Collect(target, p int) *DeliverPart {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	e := x.e
+	if p < 0 || p >= e.nParts {
+		return &DeliverPart{Partition: p}
+	}
 	rp := &x.res[p]
 	if rp.executedSS >= 0 && rp.executedSS == rp.readySS {
 		x.rollback(rp)
@@ -650,10 +656,9 @@ func (x *Executor) Collect(target, p int) *DeliverPart {
 	return dp
 }
 
-// buildExecRequest snapshots partition p's superstep input for the
-// transport. Everything referenced is either copied or immutable for the
-// duration of the call (inbox slices are only recycled at the next barrier,
-// after every Exec of this superstep returned).
+// buildExecRequest builds partition p's delta request for the transport:
+// the worker holds the values and inbox resident, so only the active set
+// and control metadata go over the wire.
 func (e *Engine) buildExecRequest(p, ss int, observing bool, ids []VertexID) *ExecRequest {
 	req := &ExecRequest{
 		Superstep: ss,
@@ -662,26 +667,12 @@ func (e *Engine) buildExecRequest(p, ss int, observing bool, ids []VertexID) *Ex
 		Combine:   e.sendComb != nil,
 		Active:    ids,
 		Agg:       e.agg.currentSnapshot(),
+		Mode:      ModeDelta,
 	}
-	if e.resident {
-		// Delta exchange: the worker holds the values and inbox resident;
-		// only the active set and control metadata go over the wire. The
-		// transport turns LocalParts into the peer-mesh Route.
-		req.Mode = ModeDelta
-		req.LocalParts = make([]bool, e.nParts)
-		for dp := range req.LocalParts {
-			req.LocalParts[dp] = e.localPinned[dp].Load()
-		}
-	} else {
-		req.Values = make([]value.Value, len(ids))
-		req.PrevActive = make([]int32, len(ids))
-		req.Inbox = make([][]IncomingMessage, len(ids))
-		inbox := e.inboxes[p]
-		for i, v := range ids {
-			req.Values[i] = e.values[v]
-			req.PrevActive[i] = e.lastActive[v]
-			req.Inbox[i] = inbox[v]
-		}
+	// The transport turns LocalParts into the peer-mesh Route.
+	req.LocalParts = make([]bool, e.nParts)
+	for dp := range req.LocalParts {
+		req.LocalParts[dp] = e.localPinned[dp].Load()
 	}
 	if m := e.cfg.Metrics; m.SpansEnabled() {
 		req.TraceID = m.SpanTraceID()
@@ -690,7 +681,7 @@ func (e *Engine) buildExecRequest(p, ss int, observing bool, ids []VertexID) *Ex
 	return req
 }
 
-// seedRequest upgrades a delta request to a full-state seed after a worker
+// seedRequest upgrades a delta request to a seed after a worker
 // reported a resident-state miss: stride values, last-active marks, and the
 // superstep's inbox. When the master's own arrays are authoritative for
 // this superstep (run start, or right after a checkpoint collect) they are
@@ -729,11 +720,10 @@ func (e *Engine) seedRequest(req *ExecRequest) error {
 	return nil
 }
 
-// applyExecResult installs a transport result into the master's state: new
-// values for the computed vertices, the partition's barrier scratch
-// (outboxes, records, accounting), and its aggregator partials. Mirrors
-// what runPartition would have left behind, so the barrier code downstream
-// is unchanged. Partition-local, so safe from p's worker goroutine.
+// applyExecResult installs a transport result into the partition's barrier
+// scratch (computed set, master-resident outbox columns, records,
+// accounting) and its aggregator partials. The values stay on the worker.
+// Partition-local, so safe from p's worker goroutine.
 func (e *Engine) applyExecResult(p int, req *ExecRequest, res *ExecResult, out *partResult) {
 	out.reset(e.nParts, false)
 	if len(res.Spans) > 0 {
@@ -743,20 +733,11 @@ func (e *Engine) applyExecResult(p int, req *ExecRequest, res *ExecResult, out *
 		out.crash = &CrashError{Vertex: res.Crash.Vertex, Superstep: res.Crash.Superstep, Err: res.Crash.Err()}
 		return
 	}
-	if req.Mode != ModeClassic {
-		// Worker-resident: the values stay on the worker. The master records
-		// the computed set (identical to the request's active set — every
-		// active vertex computes), the per-destination message counts, and
-		// only the master-resident outbox columns below.
-		out.computed = append(out.computed, req.Active...)
-		out.dstCounts = append(out.dstCounts[:0], res.DstCounts...)
-		out.residentRemote = true
-	} else {
-		for i, v := range res.Computed {
-			e.values[v] = res.NewValues[i]
-		}
-		out.computed = append(out.computed, res.Computed...)
-	}
+	// The computed set is the request's active set (every active vertex
+	// computes); the per-destination counts cover the routed columns too.
+	out.computed = append(out.computed, req.Active...)
+	out.dstCounts = append(out.dstCounts[:0], res.DstCounts...)
+	out.residentRemote = true
 	out.records = append(out.records, res.Records...)
 	for dp := range res.Outbox {
 		out.outbox[dp] = append(out.outbox[dp], res.Outbox[dp]...)
@@ -778,10 +759,12 @@ func transportRetryable(err error) bool {
 }
 
 // transportCompute runs partition p's superstep through the configured
-// transport, with the same supervision wrapper the local path uses: the
-// attempt snapshot/reset is identical, so a retry (or the local fallback
-// below) re-executes from the superstep barrier exactly like a supervised
-// local re-execution. A transport with a worker pool (the TCP leg) fails a
+// transport, with the same supervision wrapper the local path uses. The
+// values live on the worker, which rolls a failed or duplicate attempt back
+// itself, so the master's reset clears only its own scratch and a retry
+// (or the local fallback below) re-executes from the superstep barrier
+// exactly like a supervised local re-execution. A transport with a worker
+// pool (the TCP leg) fails a
 // partition over to surviving workers internally, so an ErrTransport
 // reaching this ladder means the pool is exhausted: when every supervised
 // attempt still fails on a *transport* error — no worker can take the
@@ -793,24 +776,13 @@ func transportRetryable(err error) bool {
 // design (cheap, deterministic, and the gap accounting stays contiguous).
 func (e *Engine) transportCompute(p, ss int, observing bool, ids []VertexID, results []partResult, durs []time.Duration) {
 	start := time.Now()
-	// The attempt snapshot only matters when a remote result writes values
-	// back into the master (classic full-state mode). Resident-mode results
-	// carry no Computed/NewValues — applyExecResult leaves e.values alone —
-	// so the rollback would restore bytes that never changed; skip it.
-	var snap []value.Value
-	if !e.resident {
-		snap = make([]value.Value, len(ids))
-		for i, v := range ids {
-			snap[i] = e.values[v]
-		}
-	}
 	req := e.buildExecRequest(p, ss, observing, ids)
 	attempt := func(actx context.Context) error {
 		res, err := e.cfg.Transport.Exec(actx, req)
 		if err != nil && errors.Is(err, ErrStateMiss) && req.Mode == ModeDelta {
 			// The worker holds no resident state for this superstep (fresh
 			// worker, failover target, or post-replay): upgrade the request
-			// to a full-state seed in place — retries then keep the seed —
+			// to a seed in place — retries then keep the seed —
 			// and re-send it.
 			m := e.cfg.Metrics
 			m.Counter(obs.MetricNetStateReseeds).Add(1)
@@ -830,11 +802,6 @@ func (e *Engine) transportCompute(p, ss int, observing bool, ids []VertexID, res
 		return nil
 	}
 	reset := func() {
-		if snap != nil {
-			for i, v := range ids {
-				e.values[v] = snap[i]
-			}
-		}
 		e.agg.resetPartition(p)
 		results[p].reset(e.nParts, false)
 	}
@@ -857,21 +824,19 @@ func (e *Engine) transportCompute(p, ss int, observing bool, ids []VertexID, res
 			e.localPinned[p].Store(true)
 			e.cfg.Degrade.ShedNow(p, ss)
 			reset()
-			if e.resident {
-				// The partition's state died with its workers: rebuild it
-				// master-side from the last checkpoint plus replayed deltas
-				// before executing locally, so the pinned run stays exact.
-				if serr := e.seedLocalFromReplay(p, ss); serr != nil {
-					v := VertexID(0)
-					if len(ids) > 0 {
-						v = ids[0]
-					}
-					results[p].crash = &CrashError{Vertex: v, Superstep: ss, Err: serr}
-					if durs != nil {
-						durs[p] = time.Since(start)
-					}
-					return
+			// The partition's state died with its workers: rebuild it
+			// master-side from the last checkpoint plus replayed deltas
+			// before executing locally, so the pinned run stays exact.
+			if serr := e.seedLocalFromReplay(p, ss); serr != nil {
+				v := VertexID(0)
+				if len(ids) > 0 {
+					v = ids[0]
 				}
+				results[p].crash = &CrashError{Vertex: v, Superstep: ss, Err: serr}
+				if durs != nil {
+					durs[p] = time.Since(start)
+				}
+				return
 			}
 			if e.sup != nil {
 				e.superviseCompute(p, ss, observing, ids, results, durs)

@@ -49,7 +49,7 @@ const (
 	MetricNetReconnects     = "ariadne_net_reconnects_total"       // counter: connections re-established
 	MetricNetLocalFallbacks = "ariadne_net_local_fallbacks_total"  // counter: partitions pinned local after unreachable
 	// Worker-resident state series (PR 9): delta exchanges and the peer mesh.
-	MetricNetStateReseeds = "ariadne_net_state_reseeds_total" // counter: full-state seeds after a worker state miss
+	MetricNetStateReseeds = "ariadne_net_state_reseeds_total" // counter: seed requests sent after a worker state miss
 	MetricNetPeerFrags    = "ariadne_net_peer_frags_total"    // counter: worker→worker fragment frames sent
 	MetricNetPeerBytes    = "ariadne_net_peer_bytes_total"    // counter: worker→worker fragment payload bytes
 	MetricNetSnapFrames   = "ariadne_net_snap_frames_total"   // counter: frames sent block-compressed

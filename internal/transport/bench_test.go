@@ -14,13 +14,11 @@ import (
 
 // BenchmarkTransportRun compares a full PageRank run with partitions
 // executing over TCP-loopback workers against the plain in-process run.
-// The absolute numbers are loopback numbers, not cluster numbers; the
-// benchjson ratios are the gated, hardware-independent quantities:
-// transport_overhead (tcp/inproc run time — bounds what the seam adds with
-// worker-resident state) and bytes_per_superstep_reduction (tcp-full/tcp
-// wire bytes — how much the delta exchanges shrink the per-superstep
-// traffic versus shipping full frontiers). The tcp3 leg exercises the
-// 3-worker pool with worker-to-worker fragment routing; its wire-B/ss
+// The absolute times are loopback numbers, not cluster numbers; benchjson
+// gates two hardware-independent quantities: transport_overhead (tcp/inproc
+// run time — bounds what the seam adds) and wire_bytes_per_superstep (the
+// tcp leg's wire-B/ss against an absolute ceiling). The tcp3 leg exercises
+// the 3-worker pool with worker-to-worker fragment routing; its wire-B/ss
 // includes the mesh bytes.
 func BenchmarkTransportRun(b *testing.B) {
 	g, err := gen.RMAT(gen.DefaultRMAT(11, 8, 42))
@@ -59,7 +57,7 @@ func BenchmarkTransportRun(b *testing.B) {
 			b.ReportMetric(float64(wire()-start)/float64(b.N*steps), "wire-B/ss")
 		}
 	}
-	tcpLeg := func(b *testing.B, nWorkers int, full bool) {
+	tcpLeg := func(b *testing.B, nWorkers int) {
 		b.Helper()
 		m := obs.New()  // master-side wire counters
 		wm := obs.New() // worker-side counters (mesh frag bytes land here)
@@ -84,8 +82,7 @@ func BenchmarkTransportRun(b *testing.B) {
 				NumVertices: g.NumVertices(),
 				NumEdges:    g.NumEdges(),
 			},
-			ForceFullState: full,
-			Metrics:        m,
+			Metrics: m,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -103,9 +100,8 @@ func BenchmarkTransportRun(b *testing.B) {
 	}
 
 	b.Run("inproc", func(b *testing.B) { run(b, nil, nil) })
-	b.Run("tcp", func(b *testing.B) { tcpLeg(b, 1, false) })
-	b.Run("tcp-full", func(b *testing.B) { tcpLeg(b, 1, true) })
-	b.Run("tcp3", func(b *testing.B) { tcpLeg(b, 3, false) })
+	b.Run("tcp", func(b *testing.B) { tcpLeg(b, 1) })
+	b.Run("tcp3", func(b *testing.B) { tcpLeg(b, 3) })
 }
 
 // BenchmarkWireFrame pins the framing fast path. The write leg is the

@@ -119,8 +119,6 @@ func TestWireResidentResultRoundTrip(t *testing.T) {
 
 	res := &engine.ExecResult{
 		Partition: 1,
-		Computed:  []engine.VertexID{5},
-		NewValues: []value.Value{value.NewFloat(2.5)},
 		Outbox:    [][]engine.OutMessage{nil, {{Src: 5, Dst: 2, Val: value.NewInt(1)}}},
 		Sent:      4, CombinedSender: 1,
 		DstCounts: []int64{0, 1, 3, 0},
@@ -332,36 +330,13 @@ func TestChaosKillMidDeltaStream(t *testing.T) {
 	}
 }
 
-// TestForceFullStateDifferential pins the classic stateless exchange behind
-// the ForceFullState switch: same bits, no worker mesh traffic, no resident
-// deliver rounds.
-func TestForceFullStateDifferential(t *testing.T) {
-	g := testGraph(t)
-	refE, refStats, refObs, err := runLeg(t, g, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := obs.New()
-	addrs := startWorkers(t, g, 2, nil)
-	tr := dialWorkers(t, g, addrs, func(c *TCPConfig) {
-		c.ForceFullState = true
-		c.Metrics = m
-	})
-	defer tr.Close()
-	e, stats, o, err := runLeg(t, g, engine.Config{Transport: tr, Metrics: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "full-state", refE, e, refStats, stats, refObs, o)
-	if n := m.Counter(obs.MetricNetPeerFrags).Value(); n != 0 {
-		t.Errorf("classic mode must not touch the worker mesh, saw %d frags", n)
-	}
-}
-
 // TestNetCompressionNegotiation pins the capability handshake: with
 // compression on (the default) big frames ride as snappy blocks and the
 // run is bit-identical; with NoCompress the master offers no capability,
-// nothing is compressed, and the run is still bit-identical.
+// nothing is compressed, and the run is still bit-identical. The counters
+// come from the worker's registry: delta requests are too small to
+// compress, but result frames carrying observer records are not. One
+// worker means no mesh link, which negotiates compression independently.
 func TestNetCompressionNegotiation(t *testing.T) {
 	g := testGraph(t)
 	refE, refStats, refObs, err := runLeg(t, g, engine.Config{})
@@ -373,23 +348,19 @@ func TestNetCompressionNegotiation(t *testing.T) {
 		noCompress bool
 	}{{"snappy", false}, {"plain", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := obs.New()
-			// ForceFullState makes the master ship full frontiers — frames big
-			// enough that the compression path must engage on the snappy leg.
-			addrs := startWorkers(t, g, 2, nil)
+			wm := obs.New()
+			addrs := startMeshWorkers(t, g, 1, wm, nil)
 			tr := dialWorkers(t, g, addrs, func(c *TCPConfig) {
-				c.ForceFullState = true
 				c.NoCompress = tc.noCompress
-				c.Metrics = m
 			})
 			defer tr.Close()
-			e, stats, o, err := runLeg(t, g, engine.Config{Transport: tr, Metrics: m})
+			e, stats, o, err := runLeg(t, g, engine.Config{Transport: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertIdentical(t, tc.name, refE, e, refStats, stats, refObs, o)
-			frames := m.Counter(obs.MetricNetSnapFrames).Value()
-			saved := m.Counter(obs.MetricNetSnapSavedB).Value()
+			frames := wm.Counter(obs.MetricNetSnapFrames).Value()
+			saved := wm.Counter(obs.MetricNetSnapSavedB).Value()
 			if tc.noCompress {
 				if frames != 0 {
 					t.Errorf("NoCompress leg compressed %d frames", frames)

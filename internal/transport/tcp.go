@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -60,11 +61,6 @@ type TCPConfig struct {
 	// immediately (the PR 6 behavior — the engine then pins the partition
 	// local and sheds its capture). Default off: failover on.
 	NoFailover bool
-	// ForceFullState disables worker-resident state: Resident() reports
-	// false, so the engine ships full frontiers every superstep and relays
-	// all messages through the master (the pre-PR 9 exchange). The
-	// before/after leg of the distributed bench.
-	ForceFullState bool
 	// NoCompress stops offering the snap-compression capability in the
 	// handshake, so every master<->worker frame travels raw. Worker-to-
 	// worker mesh links negotiate independently and are unaffected.
@@ -103,9 +99,10 @@ func (c TCPConfig) normalize() TCPConfig {
 // delivery (deadline + retransmit with deterministic jittered backoff,
 // same-seq so the worker's dedup absorbs re-execution), heartbeat-based
 // liveness, and partition failover over the worker pool (pool.go). Exec is
-// safe for concurrent use by the engine's per-partition goroutines. All
+// safe for concurrent use by the engine's per-partition goroutines. Network
 // failures it returns wrap engine.ErrTransport, which is what routes them
-// into supervised retry and, past the budget, the engine's local fallback.
+// into supervised retry and, past the budget, the engine's local fallback;
+// a request the worker rejects fails at once with errRejected instead.
 type TCP struct {
 	cfg    TCPConfig
 	seq    atomic.Uint64
@@ -142,7 +139,7 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 	}
 	t := &TCP{cfg: cfg, stop: make(chan struct{}), assign: map[int]int{}, lastExec: map[int]int{}}
 	for _, addr := range cfg.Addrs {
-		t.peers = append(t.peers, &peer{t: t, addr: addr, pending: map[uint64]chan []byte{}, probedSS: -1})
+		t.peers = append(t.peers, &peer{t: t, addr: addr, pending: map[uint64]chan reply{}, probedSS: -1})
 	}
 	for _, p := range t.peers {
 		if err := p.ensure(); err != nil {
@@ -159,17 +156,19 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 	return t, nil
 }
 
-// Exec implements engine.Transport: encode once, route to the partition's
-// assigned worker, and attempt the exchange up to 1+MaxRetries times under
+// Exec implements engine.Transport: route to the partition's assigned
+// worker and attempt the exchange up to 1+MaxRetries times under
 // per-message deadlines. Retransmits reuse the sequence number, so a worker
 // that already executed the request replays its cached reply instead of
-// recomputing (recomputing would be harmless — the request is a pure
-// function — but the cache keeps retry storms cheap). When a peer exhausts
-// its budget it is declared dead and the partition fails over: the same
-// encoded request (same seq) is re-sent to the next surviving worker, each
-// peer tried at most once per call. Only when no worker can take the
-// request does Exec fail with ErrTransport — the engine's cue to pin the
-// partition local.
+// recomputing (recomputing would be harmless — the worker rolls a duplicate
+// back first — but the cache keeps retry storms cheap). When a peer
+// exhausts its budget it is declared dead and the partition fails over: the
+// request (same seq, re-encoded for the new peer's mesh route) is re-sent
+// to the next surviving worker, each peer tried at most once per call. Only
+// when no worker can take the request does Exec fail with ErrTransport —
+// the engine's cue to pin the partition local. A worker that rejects the
+// request (frameError) fails the call at once, without retransmit or
+// failover: the same bytes would be rejected everywhere.
 func (t *TCP) Exec(ctx context.Context, req *engine.ExecRequest) (*engine.ExecResult, error) {
 	if t.closed.Load() {
 		return nil, fmt.Errorf("%w: client closed", engine.ErrTransport)
@@ -192,11 +191,7 @@ func (t *TCP) Exec(ctx context.Context, req *engine.ExecRequest) (*engine.ExecRe
 		}
 		return p
 	}
-	classic := req.Mode == engine.ModeClassic
 	var payload []byte
-	if classic {
-		payload = encode()
-	}
 	execStart := time.Now()
 	seq := t.seq.Add(1)
 	tried := make([]bool, len(t.peers))
@@ -215,13 +210,11 @@ func (t *TCP) Exec(ctx context.Context, req *engine.ExecRequest) (*engine.ExecRe
 		}
 		tried[pi] = true
 		p := t.peers[pi]
-		if !classic {
-			// The mesh route depends on which peer executes the request (its
-			// own partitions route "." into the local frag store), so resident
-			// requests re-encode per attempt.
-			req.Route = t.routesFor(req, pi)
-			payload = encode()
-		}
+		// The mesh route depends on which peer executes the request (its own
+		// partitions route "." into the local frag store), so the request
+		// re-encodes per peer.
+		req.Route = t.routesFor(req, pi)
+		payload = encode()
 		res, replyLen, attempts, err := t.exchange(ctx, p, req, seq, payload, traced, retries)
 		retries += attempts
 		if err == nil {
@@ -238,15 +231,13 @@ func (t *TCP) Exec(ctx context.Context, req *engine.ExecRequest) (*engine.ExecRe
 				return nil, fmt.Errorf("partition %d superstep %d: worker %s: %w",
 					req.Partition, req.Superstep, p.addr, engine.ErrStateMiss)
 			}
-			if !classic {
-				t.amu.Lock()
-				t.lastExec[req.Partition] = pi
-				t.amu.Unlock()
-			}
+			t.amu.Lock()
+			t.lastExec[req.Partition] = pi
+			t.amu.Unlock()
 			return res, nil
 		}
 		lastErr = err
-		if t.cfg.NoFailover || ctx.Err() != nil || t.closed.Load() {
+		if t.cfg.NoFailover || errors.Is(err, errRejected) || ctx.Err() != nil || t.closed.Load() {
 			m.AddRPC(req.Superstep, req.Partition,
 				int64(len(payload)), int64(retries), time.Since(execStart))
 			return nil, lastErr
@@ -304,6 +295,9 @@ func (t *TCP) exchange(ctx context.Context, p *peer, req *engine.ExecRequest, se
 		if err == nil {
 			return res, replyLen, attempts, nil
 		}
+		if errors.Is(err, errRejected) {
+			return nil, 0, attempts, err // the worker answered: no retransmit
+		}
 		p.noteFailure()
 		lastErr = err
 		m.Tracef(obs.Warn, "transport", req.Superstep,
@@ -325,11 +319,6 @@ func (t *TCP) Close() error {
 	t.wg.Wait()
 	return nil
 }
-
-// Resident implements engine.StatefulTransport: the TCP leg keeps partition
-// state worker-resident unless the run forces the classic full-state
-// exchange.
-func (t *TCP) Resident() bool { return !t.cfg.ForceFullState }
 
 // routesFor builds the peer-mesh routing table for a resident request about
 // to be sent to peer pi: master-resident partitions stay "", the executing
@@ -367,7 +356,7 @@ func (t *TCP) lastExecPeer(p int) int {
 	return pi
 }
 
-// Deliver implements engine.StatefulTransport: it fans the delivery-barrier
+// Deliver implements engine.Transport: it fans the delivery-barrier
 // (or collect) round out to the workers holding the listed partitions, one
 // concurrent exchange per worker, and merges the per-partition outcomes.
 // A worker that cannot be reached within the retransmit budget leaves its
@@ -452,6 +441,10 @@ func (t *TCP) deliverPeer(ctx context.Context, pi int, sub *engine.DeliverReques
 			reply = r
 			break
 		}
+		if errors.Is(err, errRejected) {
+			m.Tracef(obs.Error, "transport", sub.Superstep, "deliver round: %v", err)
+			break
+		}
 		p.noteFailure()
 		m.Tracef(obs.Warn, "transport", sub.Superstep,
 			"deliver round with %s attempt %d failed: %v", p.addr, try+1, err)
@@ -487,7 +480,7 @@ type peer struct {
 	w       *bufio.Writer
 	gen     int // bumped per established connection; reader goroutines check it
 	snappy  bool
-	pending map[uint64]chan []byte
+	pending map[uint64]chan reply
 	hbMiss  int
 	// Failover state machine (pool.go): healthy/suspect/dead/draining,
 	// consecutive-failure count, and the superstep of the last revival
@@ -496,6 +489,19 @@ type peer struct {
 	fails    int
 	probedSS int
 }
+
+// reply is one frame answering a pending exchange: its payload, or — when
+// rejected is set — the text of the worker's frameError.
+type reply struct {
+	payload  []byte
+	rejected bool
+}
+
+// errRejected marks a request the worker refused with a frameError. It
+// deliberately does NOT wrap engine.ErrTransport: the worker is alive and
+// answered, so neither retransmit nor failover can help, and the engine
+// aborts the run with the worker's message as the cause.
+var errRejected = errors.New("request rejected by worker")
 
 func (p *peer) wrapErr(format string, args ...any) error {
 	return fmt.Errorf("%w: peer %s: %s", engine.ErrTransport, p.addr, fmt.Sprintf(format, args...))
@@ -601,13 +607,16 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 			typ, payload = ityp, dec
 		}
 		switch typ {
-		case frameResult, framePong, frameDeliverRes:
+		case frameResult, framePong, frameDeliverRes, frameError:
+			if typ == frameError {
+				m.Tracef(obs.Error, "transport", -1, "peer %s reported: %s", p.addr, payload)
+			}
 			p.mu.Lock()
 			ch := p.pending[seq]
 			p.mu.Unlock()
 			if ch != nil {
 				select {
-				case ch <- payload:
+				case ch <- reply{payload: payload, rejected: typ == frameError}:
 				default: // duplicate reply beyond the buffer: drop
 				}
 			}
@@ -616,8 +625,6 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 			// and is deregistering. Stop routing to it; anything still
 			// pending on this connection fails over when the close lands.
 			p.markDraining()
-		case frameError:
-			m.Tracef(obs.Error, "transport", -1, "peer %s reported: %s", p.addr, payload)
 		}
 	}
 }
@@ -654,8 +661,8 @@ func (p *peer) teardownAny() {
 
 // register creates the reply slot for seq. The channel is buffered so the
 // read loop never blocks on a slow exchange (extra duplicates are dropped).
-func (p *peer) register(seq uint64) chan []byte {
-	ch := make(chan []byte, 2)
+func (p *peer) register(seq uint64) chan reply {
+	ch := make(chan reply, 2)
 	p.mu.Lock()
 	p.pending[seq] = ch
 	p.mu.Unlock()
@@ -752,7 +759,7 @@ func (p *peer) call(ctx context.Context, typ byte, ss, part int, seq uint64, pay
 			return nil, 0, p.wrapErr("exchange canceled: %v", ctx.Err())
 		case <-timer.C:
 			return nil, 0, p.wrapErr("no reply for seq %d within %v", seq, p.t.cfg.MessageDeadline)
-		case reply, ok := <-ch:
+		case rep, ok := <-ch:
 			if !ok {
 				return nil, 0, p.wrapErr("connection lost awaiting seq %d", seq)
 			}
@@ -770,7 +777,10 @@ func (p *peer) call(ctx context.Context, typ byte, ss, part int, seq uint64, pay
 				p.teardownAny()
 				return nil, 0, p.wrapErr("connection reset by injected fault")
 			}
-			return reply, len(reply), nil
+			if rep.rejected {
+				return nil, 0, fmt.Errorf("transport: worker %s rejected seq %d: %s: %w", p.addr, seq, rep.payload, errRejected)
+			}
+			return rep.payload, len(rep.payload), nil
 		}
 	}
 }

@@ -9,18 +9,15 @@ import (
 	"ariadne/internal/value"
 )
 
-// Wire v2: trace context rides in every ExecRequest, and worker-side spans
+// Trace context rides in every ExecRequest, and worker-side spans
 // piggyback on every ExecResult — including crash results, whose span
 // section is simply empty.
 
 func TestWireTraceContextRoundTrip(t *testing.T) {
 	req := &engine.ExecRequest{
-		Superstep: 2, Partition: 0,
-		Active:     []engine.VertexID{3},
-		Values:     []value.Value{value.NewFloat(1)},
-		PrevActive: []int32{-1},
-		Inbox:      [][]engine.IncomingMessage{nil},
-		TraceID:    0xdeadbeef, ParentSpan: 77,
+		Superstep: 2, Partition: 0, Mode: engine.ModeDelta,
+		Active:  []engine.VertexID{3},
+		TraceID: 0xdeadbeef, ParentSpan: 77,
 	}
 	rt, err := decodeExecRequest(encodeExecRequest(req))
 	if err != nil {
@@ -38,9 +35,8 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 func TestWireResultSpanRoundTrip(t *testing.T) {
 	res := &engine.ExecResult{
 		Partition: 1,
-		Computed:  []engine.VertexID{4},
-		NewValues: []value.Value{value.NewFloat(0.5)},
-		Outbox:    [][]engine.OutMessage{nil},
+		Outbox:    [][]engine.OutMessage{nil, {{Src: 4, Dst: 1, Val: value.NewFloat(0.5)}}},
+		DstCounts: []int64{0, 1},
 		Spans: []obs.Span{
 			{TraceID: 9, Parent: 4, Proc: "worker:a", Name: obs.SpanDecode,
 				Superstep: 2, Partition: 1, Start: 12345, Dur: 10, Bytes: 99},
@@ -70,7 +66,7 @@ func TestWireResultSpanRoundTrip(t *testing.T) {
 	}
 
 	// Untraced results must encode a zero-length span section, not omit it.
-	plain := &engine.ExecResult{Partition: 0, Computed: []engine.VertexID{}, NewValues: []value.Value{}, Outbox: [][]engine.OutMessage{}}
+	plain := &engine.ExecResult{Partition: 0, Outbox: [][]engine.OutMessage{}}
 	rt, err = decodeExecResult(encodeExecResult(plain))
 	if err != nil {
 		t.Fatal(err)

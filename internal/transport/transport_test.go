@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,10 +123,13 @@ func assertIdentical(t *testing.T, leg string, ref, got *engine.Engine, refStats
 
 func TestWireExecRequestRoundTrip(t *testing.T) {
 	req := &engine.ExecRequest{
-		Superstep: 3, Partition: 1, Observing: true, Combine: true,
-		Active:     []engine.VertexID{1, 5, 9},
-		Values:     []value.Value{value.NewFloat(0.25), value.NewVector([]float64{1, -2.5}), value.NewString("x")},
-		PrevActive: []int32{-1, 0, 2},
+		Superstep: 3, Partition: 1, Mode: engine.ModeSeed, Observing: true, Combine: true,
+		Active: []engine.VertexID{1, 5, 9},
+		Route:  []string{".", "", "10.0.0.3:7", "."},
+		AllValues: []value.Value{
+			value.NewFloat(0.25), value.NewVector([]float64{1, -2.5}), value.NewString("x"),
+		},
+		AllActive: []int32{-1, 0, 2},
 		Inbox: [][]engine.IncomingMessage{
 			nil,
 			{{Src: 2, Val: value.NewFloat(0.125)}, {Src: 3, Val: value.NewInt(-7)}},
@@ -145,8 +149,6 @@ func TestWireExecRequestRoundTrip(t *testing.T) {
 func TestWireExecResultRoundTrip(t *testing.T) {
 	res := &engine.ExecResult{
 		Partition: 2,
-		Computed:  []engine.VertexID{4, 8},
-		NewValues: []value.Value{value.NewFloat(0.5), value.NullValue},
 		Outbox: [][]engine.OutMessage{
 			{{Src: 4, Dst: 0, Val: value.NewFloat(1.5)}},
 			nil,
@@ -160,7 +162,8 @@ func TestWireExecResultRoundTrip(t *testing.T) {
 			Emitted:  []engine.ProvFact{{Table: "tp", Args: []value.Value{value.NewInt(4)}}},
 		}},
 		Sent: 3, CombinedSender: 1,
-		Agg: []engine.AggUpdate{{Name: "mass", Op: engine.AggSum, Val: 2, N: 5}},
+		Agg:       []engine.AggUpdate{{Name: "mass", Op: engine.AggSum, Val: 2, N: 5}},
+		DstCounts: []int64{1, 0, 2},
 	}
 	rt, err := decodeExecResult(encodeExecResult(res))
 	if err != nil {
@@ -182,10 +185,9 @@ func TestWireExecResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTransportDifferential pins every transport leg against the in-process
+// TestTransportDifferential pins the TCP leg against the in-process
 // reference: same values bit for bit, same message accounting, same
-// observer record stream — for the local executor leg, the codec-roundtrip
-// leg, and TCP-loopback with 1 and 2 workers.
+// observer record stream — with 1 and 2 loopback workers.
 func TestTransportDifferential(t *testing.T) {
 	g := testGraph(t)
 	refE, refStats, refObs, err := runLeg(t, g, engine.Config{})
@@ -193,16 +195,7 @@ func TestTransportDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	newExec := func() *engine.Executor {
-		x, err := engine.NewExecutor(g, testProg(), engine.Config{Partitions: testParts, Combiner: analytics.SumCombiner})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x
-	}
 	legs := map[string]func() engine.Transport{
-		"local":       func() engine.Transport { return NewLocal(newExec()) },
-		"local-codec": func() engine.Transport { return NewLocalCodec(newExec()) },
 		"tcp-1": func() engine.Transport {
 			return dialWorkers(t, g, startWorkers(t, g, 1, nil))
 		},
@@ -515,7 +508,8 @@ func TestWorkerDrainRejoin(t *testing.T) {
 	defer tr.Close()
 
 	// Partition 1 is statically assigned to worker 1; prove the route works.
-	if _, err := tr.Exec(context.Background(), &engine.ExecRequest{Superstep: 0, Partition: 1}); err != nil {
+	// A fresh worker holds superstep 0's state, so the delta request runs.
+	if _, err := tr.Exec(context.Background(), &engine.ExecRequest{Superstep: 0, Partition: 1, Mode: engine.ModeDelta}); err != nil {
 		t.Fatalf("warm-up exec: %v", err)
 	}
 	if err := w1.Drain(); err != nil {
@@ -524,9 +518,11 @@ func TestWorkerDrainRejoin(t *testing.T) {
 	waitCounter(t, m, obs.MetricFailoverDrains, 1)
 
 	// The drained worker's partition reroutes to the survivor, gracefully:
-	// a reassignment, not a death.
-	if _, err := tr.Exec(context.Background(), &engine.ExecRequest{Superstep: 1, Partition: 1}); err != nil {
-		t.Fatalf("exec after drain: %v", err)
+	// a reassignment, not a death. The survivor holds no state for
+	// partition 1 at superstep 1, so its answer is a state miss — proof the
+	// request reached it.
+	if _, err := tr.Exec(context.Background(), &engine.ExecRequest{Superstep: 1, Partition: 1, Mode: engine.ModeDelta}); !errors.Is(err, engine.ErrStateMiss) {
+		t.Fatalf("exec after drain: want a state miss from the survivor, got %v", err)
 	}
 	if m.Counter(obs.MetricFailoverReassignments).Value() == 0 {
 		t.Error("expected a reassignment off the drained worker")
@@ -540,9 +536,9 @@ func TestWorkerDrainRejoin(t *testing.T) {
 	// fine — the seq protocol just recomputes).
 	newTestWorker(t, g, addr1)
 	// Partition 3 still points at the restarted worker's slot, so routing it
-	// probes and rejoins.
-	if _, err := tr.Exec(context.Background(), &engine.ExecRequest{Superstep: 2, Partition: 3}); err != nil {
-		t.Fatalf("exec after rejoin: %v", err)
+	// probes and rejoins; the fresh worker answers with a state miss.
+	if _, err := tr.Exec(context.Background(), &engine.ExecRequest{Superstep: 2, Partition: 3, Mode: engine.ModeDelta}); !errors.Is(err, engine.ErrStateMiss) {
+		t.Fatalf("exec after rejoin: want a state miss from the rejoined worker, got %v", err)
 	}
 	waitCounter(t, m, obs.MetricFailoverRejoins, 1)
 	if !tr.peers[1].routable() {
@@ -624,15 +620,17 @@ func TestReplyCacheFIFO(t *testing.T) {
 }
 
 // TestReplyDedupAfterEviction exercises the worker path: a retransmit whose
-// cached reply was evicted is recomputed, and — the request being a pure
-// function — the recomputed reply is byte-identical to the original.
+// cached reply was evicted is recomputed — the worker rolls the duplicate
+// execution back first — and the recomputed reply is byte-identical to the
+// original.
 func TestReplyDedupAfterEviction(t *testing.T) {
 	g := testGraph(t)
 	w := newTestWorker(t, g, "127.0.0.1:0")
 	tr := dialWorkers(t, g, []string{w.Addr()})
 	defer tr.Close()
 	p := tr.peers[0]
-	req := &engine.ExecRequest{Superstep: 0, Partition: 0}
+	req := &engine.ExecRequest{Superstep: 0, Partition: 0, Mode: engine.ModeDelta,
+		Active: []engine.VertexID{0, 4, 8, 12}}
 	payload := encodeExecRequest(req)
 
 	first, _, err := p.roundTrip(context.Background(), req, 1, payload)
@@ -713,11 +711,73 @@ func TestExecCanceled(t *testing.T) {
 	defer tr.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := tr.Exec(ctx, &engine.ExecRequest{Superstep: 0, Partition: 0})
+	_, err := tr.Exec(ctx, &engine.ExecRequest{Superstep: 0, Partition: 0, Mode: engine.ModeDelta})
 	if err == nil {
 		t.Fatal("want error on canceled context")
 	}
 	if !errors.Is(err, engine.ErrTransport) || !errors.Is(err, context.Canceled) {
 		t.Errorf("error should wrap ErrTransport and context.Canceled: %v", err)
+	}
+}
+
+// TestWorkerRejectsBadRequest sends requests that pass the wire checksum
+// but that the worker must refuse — each malformed shape that survives
+// encoding. The worker answers with a frameError, the exchange fails at
+// once with an error naming the worker (not ErrTransport, so the engine
+// aborts instead of pinning the partition local), nothing is retransmitted,
+// no worker is declared dead, and the worker keeps serving.
+func TestWorkerRejectsBadRequest(t *testing.T) {
+	g := testGraph(t)
+	seed := func(ss int, active []engine.VertexID, stride int) *engine.ExecRequest {
+		req := &engine.ExecRequest{Superstep: ss, Partition: 1, Mode: engine.ModeSeed, Active: active,
+			AllValues: make([]value.Value, stride), AllActive: make([]int32, stride),
+			Inbox: make([][]engine.IncomingMessage, len(active))}
+		for i := range req.AllValues {
+			req.AllValues[i] = value.NewFloat(0)
+		}
+		return req
+	}
+	stride := g.NumVertices() / testParts
+	for name, req := range map[string]*engine.ExecRequest{
+		"zero mode":           {Superstep: 0, Partition: 1},
+		"partition too large": {Superstep: 0, Partition: testParts + 3, Mode: engine.ModeDelta},
+		"active out of range": {Superstep: 0, Partition: 1, Mode: engine.ModeDelta,
+			Active: []engine.VertexID{1, engine.VertexID(g.NumVertices() + 1)}},
+		"active not owned":  {Superstep: 0, Partition: 1, Mode: engine.ModeDelta, Active: []engine.VertexID{1, 2}},
+		"active descending": {Superstep: 0, Partition: 1, Mode: engine.ModeDelta, Active: []engine.VertexID{5, 1}},
+		"seed stride short": seed(3, []engine.VertexID{1, 5}, stride-1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := obs.New()
+			w := newTestWorker(t, g, "127.0.0.1:0")
+			tr := dialWorkers(t, g, []string{w.Addr()}, func(c *TCPConfig) {
+				c.MessageDeadline = 5 * time.Second
+				c.Metrics = m
+			})
+			defer tr.Close()
+			start := time.Now()
+			_, err := tr.Exec(context.Background(), req)
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("rejection took %v; it must not wait out the 5s message deadline", elapsed)
+			}
+			if err == nil {
+				t.Fatal("malformed request succeeded")
+			}
+			if errors.Is(err, engine.ErrTransport) || !errors.Is(err, errRejected) {
+				t.Errorf("want a worker rejection outside ErrTransport, got %v", err)
+			}
+			if !strings.Contains(err.Error(), w.Addr()) {
+				t.Errorf("rejection does not name the worker %s: %v", w.Addr(), err)
+			}
+			for _, name := range []string{obs.MetricFailoverDeaths, obs.MetricNetRetransmits} {
+				if n := m.Counter(name).Value(); n != 0 {
+					t.Errorf("%s = %d, want 0", name, n)
+				}
+			}
+			ok := &engine.ExecRequest{Superstep: 0, Partition: 1, Mode: engine.ModeDelta, Active: []engine.VertexID{1, 5}}
+			if _, err := tr.Exec(context.Background(), ok); err != nil {
+				t.Fatalf("worker stopped serving after the rejection: %v", err)
+			}
+		})
 	}
 }

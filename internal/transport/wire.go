@@ -1,11 +1,11 @@
-// Package transport moves partition superstep execution across a wire. It
-// ships the two legs behind the engine's Transport seam: Local, which calls
-// an in-process Executor directly (the seed topology), and TCP, a
-// master-side client that sends each partition's ExecRequest to a worker
-// process over a length-prefixed, CRC-framed, versioned protocol and
-// survives a faulty network — per-message deadlines, bounded retransmit
-// with the supervision backoff policy, heartbeat liveness, reconnects, and
-// receiver-side dedup of at-least-once deliveries.
+// Package transport moves partition superstep execution across a wire. TCP
+// is the master-side client behind the engine's Transport seam: it sends
+// each partition's ExecRequest and each delivery round to the worker
+// process holding the partition's state (Worker) over a length-prefixed,
+// CRC-framed, versioned protocol and survives a faulty network —
+// per-message deadlines, bounded retransmit with the supervision backoff
+// policy, heartbeat liveness, reconnects, and receiver-side dedup of
+// at-least-once deliveries.
 //
 // The wire format reuses the repo's binary conventions: frames are
 //
@@ -16,12 +16,11 @@
 // codec the spill and checkpoint files use — which is what keeps a TCP run
 // bit-identical to an in-process one.
 //
-// Version 3 (PR 9) makes workers stateful: exec requests carry a mode
-// (classic full-state, delta, or seed), a peer-mesh route, deliver rounds
-// move the barrier to the workers, peer frag frames carry worker-to-worker
-// outbox columns, and any large frame may travel snap-compressed inside a
-// frameSnap envelope when both sides negotiated the capability at
-// handshake.
+// Workers are stateful: exec requests carry a mode (delta or seed) and a
+// peer-mesh route, deliver rounds move the barrier to the workers, peer
+// frag frames carry worker-to-worker outbox columns, and any large frame
+// may travel snap-compressed inside a frameSnap envelope when both sides
+// negotiated the capability at handshake.
 package transport
 
 import (
@@ -42,8 +41,10 @@ import (
 // Version 2 added the trace context trailing every ExecRequest and a span
 // section trailing every ExecResult. Version 3 adds exec modes (delta/seed
 // exchanges for worker-resident state), deliver and peer-frag frames, the
-// handshake capability mask, and snap-compressed frames.
-const Version = 3
+// handshake capability mask, and snap-compressed frames. Version 4 drops
+// the stateless exchange that shipped whole frontiers: requests are delta
+// or seed only, and results no longer carry computed values.
+const Version = 4
 
 // maxFrame bounds a frame body so a corrupt length prefix fails fast
 // instead of provoking a giant allocation.
@@ -287,7 +288,7 @@ func appendRoute(b *value.Blob, route []string) {
 }
 
 func readRoute(r *value.BlobReader) []string {
-	n := r.Count()
+	n := r.Elems()
 	if n == 0 {
 		return nil
 	}
@@ -308,7 +309,7 @@ func appendOutMsgs(b *value.Blob, msgs []engine.OutMessage) {
 }
 
 func readOutMsgs(r *value.BlobReader) []engine.OutMessage {
-	k := r.Count()
+	k := r.Elems()
 	if k == 0 {
 		return nil
 	}
@@ -323,11 +324,8 @@ func readOutMsgs(r *value.BlobReader) []engine.OutMessage {
 	return msgs
 }
 
-// encodeExecRequest serializes a partition superstep request. The layout
-// branches on the exchange mode: classic requests carry the full
-// (id, value, last-active, inbox) state exactly as in v2; delta requests
-// carry only the active ids and the mesh route; seed requests add the full
-// stride state install.
+// encodeExecRequest serializes a partition superstep request: the active
+// ids and the mesh route, plus the full stride state install for a seed.
 func encodeExecRequest(req *engine.ExecRequest) []byte {
 	b := value.NewBlob()
 	b.Uvarint(uint64(req.Superstep))
@@ -335,37 +333,16 @@ func encodeExecRequest(req *engine.ExecRequest) []byte {
 	b.Uvarint(uint64(req.Mode))
 	b.Bool(req.Observing)
 	b.Bool(req.Combine)
-	switch req.Mode {
-	case engine.ModeDelta:
-		b.Uvarint(uint64(len(req.Active)))
-		for _, v := range req.Active {
-			b.Uvarint(uint64(v))
-		}
-		appendRoute(b, req.Route)
-	case engine.ModeSeed:
-		b.Uvarint(uint64(len(req.Active)))
-		for _, v := range req.Active {
-			b.Uvarint(uint64(v))
-		}
-		appendRoute(b, req.Route)
+	b.Uvarint(uint64(len(req.Active)))
+	for _, v := range req.Active {
+		b.Uvarint(uint64(v))
+	}
+	appendRoute(b, req.Route)
+	if req.Mode == engine.ModeSeed {
 		b.Uvarint(uint64(len(req.AllValues)))
 		for i, v := range req.AllValues {
 			b.Value(v)
 			b.Int(int64(req.AllActive[i]))
-		}
-		for _, msgs := range req.Inbox {
-			b.Uvarint(uint64(len(msgs)))
-			for _, m := range msgs {
-				b.Uvarint(uint64(m.Src))
-				b.Value(m.Val)
-			}
-		}
-	default: // ModeClassic — the stateless v2 layout
-		b.Uvarint(uint64(len(req.Active)))
-		for i, v := range req.Active {
-			b.Uvarint(uint64(v))
-			b.Value(req.Values[i])
-			b.Int(int64(req.PrevActive[i]))
 		}
 		for _, msgs := range req.Inbox {
 			b.Uvarint(uint64(len(msgs)))
@@ -392,6 +369,9 @@ func encodeExecRequest(req *engine.ExecRequest) []byte {
 	return b.Bytes()
 }
 
+// decodeExecRequest decodes an exec frame, rejecting any mode but delta or
+// seed. Every count is bounded by the bytes left, so a corrupt or hostile
+// frame can never size an allocation beyond its own length.
 func decodeExecRequest(p []byte) (*engine.ExecRequest, error) {
 	r := value.NewBlobReader(p)
 	req := &engine.ExecRequest{
@@ -401,22 +381,17 @@ func decodeExecRequest(p []byte) (*engine.ExecRequest, error) {
 		Observing: r.Bool(),
 		Combine:   r.Bool(),
 	}
-	switch req.Mode {
-	case engine.ModeDelta:
-		n := r.Count()
-		req.Active = make([]engine.VertexID, n)
-		for i := 0; i < n; i++ {
-			req.Active[i] = engine.VertexID(r.Uvarint())
-		}
-		req.Route = readRoute(r)
-	case engine.ModeSeed:
-		n := r.Count()
-		req.Active = make([]engine.VertexID, n)
-		for i := 0; i < n; i++ {
-			req.Active[i] = engine.VertexID(r.Uvarint())
-		}
-		req.Route = readRoute(r)
-		k := r.Count()
+	if r.Err() == nil && req.Mode != engine.ModeDelta && req.Mode != engine.ModeSeed {
+		return nil, fmt.Errorf("transport: exec request mode %d is neither delta nor seed", req.Mode)
+	}
+	n := r.Elems()
+	req.Active = make([]engine.VertexID, n)
+	for i := 0; i < n; i++ {
+		req.Active[i] = engine.VertexID(r.Uvarint())
+	}
+	req.Route = readRoute(r)
+	if req.Mode == engine.ModeSeed {
+		k := r.Elems()
 		req.AllValues = make([]value.Value, k)
 		req.AllActive = make([]int32, k)
 		for i := 0; i < k; i++ {
@@ -425,7 +400,7 @@ func decodeExecRequest(p []byte) (*engine.ExecRequest, error) {
 		}
 		req.Inbox = make([][]engine.IncomingMessage, n)
 		for i := 0; i < n; i++ {
-			if k := r.Count(); k > 0 {
+			if k := r.Elems(); k > 0 {
 				msgs := make([]engine.IncomingMessage, k)
 				for j := 0; j < k; j++ {
 					msgs[j] = engine.IncomingMessage{Src: engine.VertexID(r.Uvarint()), Val: r.Value()}
@@ -433,30 +408,8 @@ func decodeExecRequest(p []byte) (*engine.ExecRequest, error) {
 				req.Inbox[i] = msgs
 			}
 		}
-	default:
-		n := r.Count()
-		req.Active = make([]engine.VertexID, n)
-		req.Values = make([]value.Value, n)
-		req.PrevActive = make([]int32, n)
-		for i := 0; i < n; i++ {
-			req.Active[i] = engine.VertexID(r.Uvarint())
-			req.Values[i] = r.Value()
-			req.PrevActive[i] = int32(r.Int())
-		}
-		req.Inbox = make([][]engine.IncomingMessage, n)
-		for i := 0; i < n; i++ {
-			k := r.Count()
-			if k == 0 {
-				continue
-			}
-			msgs := make([]engine.IncomingMessage, k)
-			for j := 0; j < k; j++ {
-				msgs[j] = engine.IncomingMessage{Src: engine.VertexID(r.Uvarint()), Val: r.Value()}
-			}
-			req.Inbox[i] = msgs
-		}
 	}
-	if k := r.Count(); k > 0 {
+	if k := r.Elems(); k > 0 {
 		req.Agg = make(map[string]float64, k)
 		for j := 0; j < k; j++ {
 			name := r.String()
@@ -506,11 +459,6 @@ func encodeExecResultBody(res *engine.ExecResult) []byte {
 	b.Bool(res.StateMiss)
 	if res.StateMiss {
 		return b.Bytes()
-	}
-	b.Uvarint(uint64(len(res.Computed)))
-	for i, v := range res.Computed {
-		b.Uvarint(uint64(v))
-		b.Value(res.NewValues[i])
 	}
 	b.Uvarint(uint64(len(res.Outbox)))
 	for _, msgs := range res.Outbox {
@@ -590,13 +538,6 @@ func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 			return nil, fmt.Errorf("transport: corrupt exec result: %w", r.Err())
 		}
 		return res, nil
-	}
-	n := r.Count()
-	res.Computed = make([]engine.VertexID, n)
-	res.NewValues = make([]value.Value, n)
-	for i := 0; i < n; i++ {
-		res.Computed[i] = engine.VertexID(r.Uvarint())
-		res.NewValues[i] = r.Value()
 	}
 	nParts := r.Count()
 	res.Outbox = make([][]engine.OutMessage, nParts)

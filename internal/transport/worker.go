@@ -292,11 +292,16 @@ func (w *Worker) handleExec(cs *connState, seq uint64, payload []byte, release f
 		return
 	}
 	t1 := time.Now()
-	res := w.x.Exec(context.Background(), req)
+	res, err := w.x.Exec(context.Background(), req)
+	if err != nil {
+		cs.cache.finish(seq, nil)
+		w.replyErr(cs, seq, err.Error())
+		return
+	}
 	t2 := time.Now()
 	var peerBytes int64
 	var peerDur time.Duration
-	if req.Mode != engine.ModeClassic && res.Crash == nil && !res.StateMiss {
+	if res.Crash == nil && !res.StateMiss {
 		peerBytes = w.routeOutbox(req, res)
 		peerDur = time.Since(t2)
 	}
@@ -334,13 +339,13 @@ func (w *Worker) handleExec(cs *connState, seq uint64, payload []byte, release f
 	w.reply(cs, frameResult, seq, out)
 }
 
-// routeOutbox sends a resident-mode result's outbox columns to the workers
-// that own their destination partitions, per the request's route: "." parks
-// the column in this worker's own frag store, a peer address ships it over
-// the mesh, and "" (master-resident) leaves it in the reply. A failed peer
-// send also leaves the column in the reply — the master forwards it inside
-// the deliver round, so one lost mesh link degrades to master relay for
-// that column instead of a replay. Returns the mesh bytes written.
+// routeOutbox sends a result's outbox columns to the workers that own their
+// destination partitions, per the request's route: "." parks the column in
+// this worker's own frag store, a peer address ships it over the mesh, and
+// "" (master-resident) leaves it in the reply. A failed peer send also
+// leaves the column in the reply — the master forwards it inside the
+// deliver round, so one lost mesh link degrades to master relay for that
+// column instead of a replay. Returns the mesh bytes written.
 func (w *Worker) routeOutbox(req *engine.ExecRequest, res *engine.ExecResult) int64 {
 	var bytes int64
 	ctx := context.Background()

@@ -111,6 +111,19 @@ func (r *BlobReader) Count() int {
 	return int(u)
 }
 
+// Elems reads a count of elements that each take at least one encoded byte,
+// failing when it exceeds the bytes left. Decoders of untrusted input size
+// allocations with it, so a count never asks for more elements than the
+// input could hold.
+func (r *BlobReader) Elems() int {
+	n := r.Count()
+	if n > r.Len() {
+		r.fail(fmt.Errorf("value: blob count %d exceeds the %d bytes left: %w", n, r.Len(), io.ErrUnexpectedEOF))
+		return 0
+	}
+	return n
+}
+
 // Int reads a signed (zig-zag) varint.
 func (r *BlobReader) Int() int64 {
 	if r.err != nil {
