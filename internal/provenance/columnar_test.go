@@ -3,7 +3,6 @@ package provenance
 import (
 	"bytes"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -281,87 +280,6 @@ func TestColumnarSmallerThanRowFormat(t *testing.T) {
 	}
 }
 
-// TestStoreFormatV1StillWritten pins the -store-format v1 escape hatch: a
-// FormatV1 store produces files the v1 decoder reads directly.
-func TestStoreFormatV1StillWritten(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStore(StoreConfig{SpillAll: true, SyncSpill: true, SpillDir: dir, Format: FormatV1})
-	l := sampleLayer(0, 10)
-	if err := s.AppendLayer(l); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, layerFileName(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw[4] != layerVersion {
-		t.Fatalf("FormatV1 store wrote version %d", raw[4])
-	}
-	got, err := s.Layer(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLayersIdentical(t, l, got)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV1FilesRemainReadable writes v1 layer files (an earlier build's spill
-// output) and reattaches them with a default-format (v2) store — the
-// checkpoint/resume compatibility path. Projected reads against v1 files
-// must silently degrade to full materialization.
-func TestV1FilesRemainReadable(t *testing.T) {
-	dir := t.TempDir()
-	old := NewStore(StoreConfig{SpillAll: true, SyncSpill: true, SpillDir: dir, Format: FormatV1})
-	var want []*Layer
-	for ss := 0; ss < 4; ss++ {
-		l := sampleLayer(ss, 12)
-		want = append(want, l)
-		if err := old.AppendLayer(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Detach without deleting the files (Close would remove them): simulate
-	// process death by dropping the store on the floor.
-
-	s := NewStore(StoreConfig{SpillAll: true, SpillDir: dir}) // default FormatV2
-	if err := s.Reattach(4); err != nil {
-		t.Fatalf("reattaching v1 files under a v2 store: %v", err)
-	}
-	for ss := 0; ss < 4; ss++ {
-		got, err := s.LayerProjected(ss, &LayerProjection{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// v1 files have no column blocks: the projected read returns the
-		// full layer.
-		assertLayersIdentical(t, want[ss], got)
-	}
-	// New layers appended by the resumed run spill as v2; both formats then
-	// coexist in one store directory.
-	if err := s.AppendLayer(sampleLayer(4, 12)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, layerFileName(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw[4] != layerVersionColumnar {
-		t.Fatalf("resumed store wrote version %d, want v2", raw[4])
-	}
-	got, err := s.Layer(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Superstep != 4 || len(got.Records) != 12 {
-		t.Fatalf("mixed-format store misread layer 4: ss %d, %d records", got.Superstep, len(got.Records))
-	}
-}
-
 // wccLayer models a WCC-style custom capture: integer component labels,
 // label messages to a few neighbors, and one emitted fact per converged
 // record under a shared table name — the shape the paper's Table 3/4
@@ -393,17 +311,26 @@ func wccLayer(ss, nrec, fanout int) *Layer {
 // in-memory buffer (the fuzz target's transport) rather than a file.
 func TestColumnarBufferRoundTrip(t *testing.T) {
 	l := trickyLayer(2)
-	var buf bytes.Buffer
-	if err := encodeLayerColumnar(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := openColumnar(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	got, err := columnarRoundTrip(l)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertLayersIdentical(t, l, got)
+}
+
+// columnarRoundTrip encodes l into memory and decodes every column back.
+func columnarRoundTrip(l *Layer) (*Layer, error) {
+	var buf bytes.Buffer
+	if err := encodeLayerColumnar(&buf, l); err != nil {
+		return nil, err
+	}
+	cl, err := openColumnar(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		return nil, err
+	}
 	got := &Layer{}
 	if err := cl.decodeInto(got, maskAll); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	assertLayersIdentical(t, l, got)
+	return got, nil
 }

@@ -101,28 +101,36 @@ func TestSpillWriteExhaustedRetriesLeaveNoPartialFile(t *testing.T) {
 	})
 }
 
-// formatCases names both layer file formats for format-matrix subtests.
-var formatCases = []struct {
-	name   string
-	format int
-}{{"v1", FormatV1}, {"v2", FormatV2}}
+// layerFileCases returns sampleLayer(0, 6) encoded in each layer file
+// format: the committed v1 fixture and a fresh v2 write.
+func layerFileCases(t *testing.T) []struct {
+	name string
+	raw  []byte
+} {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "layer.prov")
+	if _, err := writeLayerFile(path, sampleLayer(0, 6), FormatV2, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		raw  []byte
+	}{{"v1", readV1Fixture(t, "sample-0-6.prov")}, {"v2", v2}}
+}
 
 // TestLayerTruncationNeverPanics reads a layer file truncated at every byte
 // boundary, in both formats; each truncation must yield an error, never a
 // panic. The v2 leg also exercises the projected decode path, whose footer
 // seek reads the file back-to-front.
 func TestLayerTruncationNeverPanics(t *testing.T) {
-	for _, fc := range formatCases {
+	for _, fc := range layerFileCases(t) {
 		t.Run(fc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			path := filepath.Join(dir, "layer.prov")
-			if _, err := writeLayerFile(path, sampleLayer(0, 6), fc.format, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := fc.raw
 			trunc := filepath.Join(dir, "trunc.prov")
 			for cut := 0; cut < len(raw); cut++ {
 				if err := os.WriteFile(trunc, raw[:cut], 0o644); err != nil {
@@ -143,17 +151,10 @@ func TestLayerTruncationNeverPanics(t *testing.T) {
 // counts, column footers, packed values) and checks decode errors out
 // rather than over-allocating or panicking, in both formats.
 func TestLayerCorruptCountsNeverPanic(t *testing.T) {
-	for _, fc := range formatCases {
+	for _, fc := range layerFileCases(t) {
 		t.Run(fc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			path := filepath.Join(dir, "layer.prov")
-			if _, err := writeLayerFile(path, sampleLayer(0, 6), fc.format, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := fc.raw
 			mut := filepath.Join(dir, "mut.prov")
 			for pos := 5; pos < len(raw); pos++ {
 				for _, bit := range []byte{0x80, 0xff} {

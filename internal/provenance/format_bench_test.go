@@ -20,7 +20,10 @@ func BenchmarkStoreFormat(b *testing.B) {
 	for ss := range layers {
 		layers[ss] = wccLayer(ss, recsPerLayer, fanout)
 	}
-	for _, fc := range formatCases {
+	for _, fc := range []struct {
+		name   string
+		format int
+	}{{"v1", FormatV1}, {"v2", FormatV2}} {
 		b.Run(fc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			dir := b.TempDir()

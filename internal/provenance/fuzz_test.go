@@ -10,17 +10,19 @@ import (
 // FuzzLayerV2Decode drives the layer-file readers with arbitrary bytes and
 // an arbitrary projection mask, generalizing TestLayerTruncationNeverPanics
 // from every-byte truncations to every mutation the fuzzer can find. The
-// corpus is seeded with real encodings of both formats — the tricky-value
-// layer (NaN, ±Inf, -0.0, extreme ints, non-ASCII strings, vectors), the
-// WCC-shaped layer, and a small generic layer — so mutations start from
-// structurally valid files and dig into the dictionary, delta, and varint
-// decoders rather than bouncing off the magic check. The invariant under
+// corpus is seeded with real encodings of both formats — v2 encodings of
+// the tricky-value layer (NaN, ±Inf, -0.0, extreme ints, non-ASCII strings,
+// vectors), the WCC-shaped layer, and a small generic layer, plus the
+// committed v1 fixtures — so mutations start from structurally valid files
+// and dig into the dictionary, delta, and varint decoders rather than
+// bouncing off the magic check. The invariant under
 // test: decode never panics and never over-allocates; it either returns a
 // layer or a clean error, for the full read and for every projected read.
 //
 // CI runs this as a 30s smoke via `go test -fuzz FuzzLayerV2Decode`; the
 // committed corpus under testdata/fuzz replays as an ordinary test case.
 func FuzzLayerV2Decode(f *testing.F) {
+	fuzzMasks := []uint16{uint16(maskAll), uint16(maskCore), 0}
 	seedLayers := []*Layer{
 		trickyLayer(2),
 		wccLayer(1, 40, 3),
@@ -32,17 +34,18 @@ func FuzzLayerV2Decode(f *testing.F) {
 		if err := encodeLayerColumnar(&v2, l); err != nil {
 			f.Fatal(err)
 		}
-		var v1 bytes.Buffer
-		if err := encodeLayer(&v1, l); err != nil {
-			f.Fatal(err)
-		}
-		for _, mask := range []uint16{uint16(maskAll), uint16(maskCore), 0} {
+		for _, mask := range fuzzMasks {
 			f.Add(v2.Bytes(), mask)
-			f.Add(v1.Bytes(), mask)
 		}
 		// A mid-file truncation seed steers mutations toward the footer
 		// bounds checks (v2 reads the file back-to-front).
 		f.Add(v2.Bytes()[:v2.Len()/2], uint16(maskAll))
+	}
+	for _, fx := range v1Fixtures {
+		raw := readV1Fixture(f, fx.file)
+		for _, mask := range fuzzMasks {
+			f.Add(raw, mask)
+		}
 	}
 	f.Add([]byte{}, uint16(maskAll))
 

@@ -1,8 +1,6 @@
 package provenance
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -173,51 +171,8 @@ func assertLayersEqual(t *testing.T, a, b *Layer) {
 	}
 }
 
-func TestLayerCodecRoundTrip(t *testing.T) {
-	l := sampleLayer(5, 30)
-	// Add tricky values.
-	l.Records[0].Value = value.NewVector([]float64{1, -2, 3})
-	l.Records[1].Value = value.NewString("")
-	l.Records[2].HasValue = false
-
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := encodeLayer(w, l); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	got, err := decodeLayer(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLayersEqual(t, l, got)
-}
-
-func TestLayerCodecCorruption(t *testing.T) {
-	if _, err := decodeLayer(bufio.NewReader(bytes.NewReader([]byte("XXXX")))); err == nil {
-		t.Error("bad magic should fail")
-	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := encodeLayer(w, sampleLayer(0, 3)); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	full := buf.Bytes()
-	// Truncations anywhere must error, never panic.
-	for cut := 1; cut < len(full); cut += 7 {
-		if _, err := decodeLayer(bufio.NewReader(bytes.NewReader(full[:cut]))); err == nil {
-			t.Errorf("truncation at %d should fail", cut)
-		}
-	}
-	// Bad version byte.
-	bad := append([]byte{}, full...)
-	bad[4] = 99
-	if _, err := decodeLayer(bufio.NewReader(bytes.NewReader(bad))); err == nil {
-		t.Error("bad version should fail")
-	}
-}
-
+// TestLayerCodecQuick round-trips random layers through the layer writer's
+// encoding and the reader.
 func TestLayerCodecQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	f := func(seed int64) bool {
@@ -243,13 +198,7 @@ func TestLayerCodecQuick(t *testing.T) {
 			}
 			l.Records = append(l.Records, rec)
 		}
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := encodeLayer(w, l); err != nil {
-			return false
-		}
-		w.Flush()
-		got, err := decodeLayer(bufio.NewReader(&buf))
+		got, err := columnarRoundTrip(l)
 		if err != nil || got.Superstep != l.Superstep || len(got.Records) != len(l.Records) {
 			return false
 		}
