@@ -512,6 +512,9 @@ func encodeExecResultBody(res *engine.ExecResult) []byte {
 	return b.Bytes()
 }
 
+// decodeExecResult decodes a worker's exec reply. Like every wire decoder it
+// sizes allocations with Elems, so a corrupt or hostile count can never ask
+// for more elements than the payload has bytes.
 func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 	r := value.NewBlobReader(p)
 	res := &engine.ExecResult{Partition: int(r.Uvarint())}
@@ -539,10 +542,10 @@ func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 		}
 		return res, nil
 	}
-	nParts := r.Count()
+	nParts := r.Elems()
 	res.Outbox = make([][]engine.OutMessage, nParts)
 	for dp := 0; dp < nParts; dp++ {
-		k := r.Count()
+		k := r.Elems()
 		if k == 0 {
 			continue
 		}
@@ -556,7 +559,7 @@ func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 		}
 		res.Outbox[dp] = msgs
 	}
-	if nRecs := r.Count(); nRecs > 0 {
+	if nRecs := r.Elems(); nRecs > 0 {
 		res.Records = make([]engine.VertexRecord, nRecs)
 		for i := 0; i < nRecs; i++ {
 			rec := &res.Records[i]
@@ -565,23 +568,23 @@ func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 			rec.PrevActive = int(r.Int())
 			rec.OldValue = r.Value()
 			rec.NewValue = r.Value()
-			if k := r.Count(); k > 0 {
+			if k := r.Elems(); k > 0 {
 				rec.Received = make([]engine.IncomingMessage, k)
 				for j := 0; j < k; j++ {
 					rec.Received[j] = engine.IncomingMessage{Src: engine.VertexID(r.Uvarint()), Val: r.Value()}
 				}
 			}
-			if k := r.Count(); k > 0 {
+			if k := r.Elems(); k > 0 {
 				rec.Sent = make([]engine.SentMessage, k)
 				for j := 0; j < k; j++ {
 					rec.Sent[j] = engine.SentMessage{Dst: engine.VertexID(r.Uvarint()), Val: r.Value()}
 				}
 			}
-			if k := r.Count(); k > 0 {
+			if k := r.Elems(); k > 0 {
 				rec.Emitted = make([]engine.ProvFact, k)
 				for j := 0; j < k; j++ {
 					rec.Emitted[j].Table = r.String()
-					if na := r.Count(); na > 0 {
+					if na := r.Elems(); na > 0 {
 						rec.Emitted[j].Args = make([]value.Value, na)
 						for a := 0; a < na; a++ {
 							rec.Emitted[j].Args[a] = r.Value()
@@ -593,7 +596,7 @@ func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 	}
 	res.Sent = r.Int()
 	res.CombinedSender = r.Int()
-	if k := r.Count(); k > 0 {
+	if k := r.Elems(); k > 0 {
 		res.Agg = make([]engine.AggUpdate, k)
 		for j := 0; j < k; j++ {
 			res.Agg[j] = engine.AggUpdate{
@@ -604,7 +607,7 @@ func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 			}
 		}
 	}
-	if k := r.Count(); k > 0 {
+	if k := r.Elems(); k > 0 {
 		res.DstCounts = make([]int64, k)
 		for j := 0; j < k; j++ {
 			res.DstCounts[j] = r.Int()
@@ -647,6 +650,8 @@ func encodeDeliverRequest(req *engine.DeliverRequest) []byte {
 	return b.Bytes()
 }
 
+// decodeDeliverRequest decodes a deliver frame; counts are bounded by the
+// bytes left.
 func decodeDeliverRequest(p []byte) (*engine.DeliverRequest, error) {
 	r := value.NewBlobReader(p)
 	req := &engine.DeliverRequest{
@@ -654,7 +659,7 @@ func decodeDeliverRequest(p []byte) (*engine.DeliverRequest, error) {
 		CollectOnly: r.Bool(),
 		Combine:     r.Bool(),
 	}
-	n := r.Count()
+	n := r.Elems()
 	req.Parts = make([]int, n)
 	for i := 0; i < n; i++ {
 		req.Parts[i] = int(r.Uvarint())
@@ -663,13 +668,13 @@ func decodeDeliverRequest(p []byte) (*engine.DeliverRequest, error) {
 		req.Expected = make([][]int64, n)
 		req.MasterFrags = make([][][]engine.OutMessage, n)
 		for i := 0; i < n; i++ {
-			k := r.Count()
+			k := r.Elems()
 			exp := make([]int64, k)
 			for j := 0; j < k; j++ {
 				exp[j] = int64(r.Uvarint())
 			}
 			req.Expected[i] = exp
-			k = r.Count()
+			k = r.Elems()
 			mf := make([][]engine.OutMessage, k)
 			for j := 0; j < k; j++ {
 				mf[j] = readOutMsgs(r)
@@ -720,9 +725,11 @@ func encodeDeliverResult(res *engine.DeliverResult) []byte {
 	return b.Bytes()
 }
 
+// decodeDeliverResult decodes a deliver reply; counts are bounded by the
+// bytes left.
 func decodeDeliverResult(p []byte) (*engine.DeliverResult, error) {
 	r := value.NewBlobReader(p)
-	n := r.Count()
+	n := r.Elems()
 	res := &engine.DeliverResult{Parts: make([]engine.DeliverPart, n)}
 	for i := 0; i < n; i++ {
 		dp := &res.Parts[i]
@@ -733,22 +740,22 @@ func decodeDeliverResult(p []byte) (*engine.DeliverResult, error) {
 		}
 		dp.Delivered = int64(r.Uvarint())
 		dp.Combined = int64(r.Uvarint())
-		k := r.Count()
+		k := r.Elems()
 		dp.Dsts = make([]engine.VertexID, k)
 		for j := 0; j < k; j++ {
 			dp.Dsts[j] = engine.VertexID(r.Uvarint())
 		}
-		if k := r.Count(); k > 0 {
+		if k := r.Elems(); k > 0 {
 			dp.Values = make([]value.Value, k)
 			for j := 0; j < k; j++ {
 				dp.Values[j] = r.Value()
 			}
 		}
-		if k := r.Count(); k > 0 {
+		if k := r.Elems(); k > 0 {
 			dp.Inbox = make([]engine.InboxChunk, k)
 			for j := 0; j < k; j++ {
 				dp.Inbox[j].Dst = engine.VertexID(r.Uvarint())
-				if km := r.Count(); km > 0 {
+				if km := r.Elems(); km > 0 {
 					msgs := make([]engine.IncomingMessage, km)
 					for a := 0; a < km; a++ {
 						msgs[a] = engine.IncomingMessage{Src: engine.VertexID(r.Uvarint()), Val: r.Value()}
@@ -780,6 +787,8 @@ func encodePeerFrag(f *peerFrag) []byte {
 	return b.Bytes()
 }
 
+// decodePeerFrag decodes an outbox column from the worker mesh; counts are
+// bounded by the bytes left.
 func decodePeerFrag(p []byte) (*peerFrag, error) {
 	r := value.NewBlobReader(p)
 	f := &peerFrag{
