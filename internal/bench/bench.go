@@ -11,7 +11,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sort"
+	"syscall"
 	"time"
 
 	"ariadne"
@@ -179,6 +181,41 @@ func (r *Runner) timeRun(g *graph.Graph, prog func() ariadne.Program, opts ...ar
 		last = res
 	}
 	return trimmedMean(times), last, nil
+}
+
+// timeInterleaved measures several Run configurations of one analytic by
+// process CPU time, in rounds: each round runs every leg once, in order,
+// after a forced GC so no leg pays for the previous one's garbage, and each
+// leg keeps the trimmed mean of its rounds. CPU time does not count the
+// time the process waits for a core, and interleaving spreads whatever
+// load remains over all legs, so experiments that compare legs of one row
+// (Figure 7's full vs. custom capture) keep their shape on a busy machine.
+func (r *Runner) timeInterleaved(g *graph.Graph, prog func() ariadne.Program, legs ...[]ariadne.Option) ([]time.Duration, error) {
+	times := make([][]time.Duration, len(legs))
+	for i := 0; i < r.cfg.repeat(); i++ {
+		for l, opts := range legs {
+			runtime.GC()
+			start := cpuTime()
+			if _, err := ariadne.Run(g, prog(), opts...); err != nil {
+				return nil, err
+			}
+			times[l] = append(times[l], cpuTime()-start)
+		}
+	}
+	out := make([]time.Duration, len(legs))
+	for l := range legs {
+		out[l] = trimmedMean(times[l])
+	}
+	return out, nil
+}
+
+// cpuTime returns the user plus system CPU time of the whole process.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func trimmedMean(ts []time.Duration) time.Duration {

@@ -71,7 +71,11 @@ func TestTable3And4Shapes(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	r, _ := tiny(t)
+	r, buf := tiny(t)
+	// One ~10 ms run per leg is at the mercy of whatever else loads the
+	// machine; Fig7 measures CPU time over interleaved rounds, and five
+	// rounds, trimmed, keep one slow run from deciding the row.
+	r.cfg.Repeat = 5
 	rows, err := r.Fig7()
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +85,7 @@ func TestFig7Shape(t *testing.T) {
 	}
 	for _, row := range rows {
 		if row.FullX < row.CustomX*0.8 {
-			t.Errorf("%s: full capture (%.2fx) should not be much cheaper than custom (%.2fx)", row.Analytic, row.FullX, row.CustomX)
+			t.Errorf("%s: full capture (%.2fx) should not be much cheaper than custom (%.2fx)\n%s", row.Analytic, row.FullX, row.CustomX, buf)
 		}
 		if row.Baseline <= 0 {
 			t.Errorf("%s: baseline not measured", row.Analytic)

@@ -127,9 +127,9 @@ type CaptureTimeRow struct {
 }
 
 // Fig7 measures the runtime overhead of full (Query 2) versus custom
-// (Query 3) capture over the bare analytic.
+// (Query 3) capture over the bare analytic, in process CPU time.
 func (r *Runner) Fig7() ([]CaptureTimeRow, error) {
-	fmt.Fprintf(r.cfg.out(), "\nFigure 7: Capture runtime overhead (x baseline)\n%-8s %-9s %12s %8s %8s\n", "Dataset", "Analytic", "Baseline", "Full", "Custom")
+	fmt.Fprintf(r.cfg.out(), "\nFigure 7: Capture runtime overhead (x baseline, process CPU time)\n%-8s %-9s %12s %8s %8s\n", "Dataset", "Analytic", "Baseline", "Full", "Custom")
 	var rows []CaptureTimeRow
 	for _, d := range r.datasets() {
 		specs, err := r.analyticsFor(d)
@@ -137,24 +137,19 @@ func (r *Runner) Fig7() ([]CaptureTimeRow, error) {
 			return nil, err
 		}
 		for _, spec := range specs {
-			base, _, err := r.timeRun(spec.g, spec.prog, spec.opts...)
-			if err != nil {
-				return nil, err
-			}
-			fullT, _, err := r.timeRun(spec.g, spec.prog,
-				append([]ariadne.Option{ariadne.WithCaptureQuery(queries.CaptureFull(), provenance.StoreConfig{})}, spec.opts...)...)
-			if err != nil {
-				return nil, err
-			}
 			src := graph.VertexID(0)
 			if spec.name != "SSSP" {
 				src = graph.HighestDegreeVertex(spec.g)
 			}
-			custT, _, err := r.timeRun(spec.g, spec.prog,
-				append([]ariadne.Option{ariadne.WithCaptureQuery(queries.CaptureForwardLineage(src), provenance.StoreConfig{})}, spec.opts...)...)
+			capture := func(def queries.Definition) []ariadne.Option {
+				return append([]ariadne.Option{ariadne.WithCaptureQuery(def, provenance.StoreConfig{})}, spec.opts...)
+			}
+			ts, err := r.timeInterleaved(spec.g, spec.prog, spec.opts,
+				capture(queries.CaptureFull()), capture(queries.CaptureForwardLineage(src)))
 			if err != nil {
 				return nil, err
 			}
+			base, fullT, custT := ts[0], ts[1], ts[2]
 			row := CaptureTimeRow{
 				Dataset: d.Name, Analytic: spec.name, Baseline: base,
 				FullX: overhead(fullT, base), CustomX: overhead(custT, base),
