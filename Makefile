@@ -37,8 +37,9 @@ bench: bench-micro
 # BENCH_micro.json and fails on a regression of the hardware-independent
 # ratios (sequential/parallel barrier-phase time, sync/async spill time,
 # sequential/parallel eval-phase time, sequential/pipelined layered run
-# time) or of the zero-allocation invariants (disabled spans, wire frames,
-# repeated compiled layers). The committed BENCH_micro.json is the
+# time), of the absolute ceilings (wire bytes per superstep, on-disk bytes
+# per provenance tuple), or of the zero-allocation invariants (disabled
+# spans, wire frames, repeated compiled layers). The committed BENCH_micro.json is the
 # single-core container baseline; CI archives the fresh one.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkBarrier' -benchmem -count 1 \
@@ -62,9 +63,9 @@ bench-micro:
 	rm -f bench-micro.out
 
 # bench-store runs just the provenance-storage benchmarks — spill pipeline,
-# v1-vs-v2 on-disk density, projected-vs-unprojected layered replay — and
-# gates their three ratios (spill_async_speedup, bytes_per_tuple_reduction,
-# layered_replay_facts_s) via cmd/benchjson -expect, writing BENCH_store.json.
+# on-disk density, projected-vs-unprojected layered replay — and gates their
+# three figures (spill_async_speedup, bytes_per_tuple, layered_replay_facts_s)
+# via cmd/benchjson -expect, writing BENCH_store.json.
 # Faster than bench-micro when iterating on the layer file format; CI runs it
 # in the bench job and archives the JSON.
 bench-store:
@@ -73,7 +74,7 @@ bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkLayeredReplay' -benchmem -count 1 \
 		./internal/driver/ >> bench-store.out
 	$(GO) run ./cmd/benchjson -out BENCH_store.json \
-		-expect spill_async_speedup,bytes_per_tuple_reduction,layered_replay_facts_s \
+		-expect spill_async_speedup,bytes_per_tuple,layered_replay_facts_s \
 		< bench-store.out
 	rm -f bench-store.out
 

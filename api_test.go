@@ -152,7 +152,7 @@ func TestEvalOptionsThroughAPI(t *testing.T) {
 		}
 		return res.Query("q5-monotone-check")
 	}
-	seq := run(ariadne.WithSequentialEval())
+	seq := run(ariadne.WithEvalWorkers(1))
 	par := run(ariadne.WithEvalWorkers(8))
 	if a, b := ariadne.Count(seq, "check_failed"), ariadne.Count(par, "check_failed"); a != b {
 		t.Errorf("online sequential %d tuples vs parallel %d", a, b)
@@ -165,7 +165,7 @@ func TestEvalOptionsThroughAPI(t *testing.T) {
 	}
 	def := queries.MonotoneCheck()
 	offSeq, err := ariadne.QueryOffline(def, res.Provenance, g, ariadne.ModeLayered, 0,
-		ariadne.SequentialEval())
+		ariadne.EvalWorkers(1), ariadne.NoPrefetch())
 	if err != nil {
 		t.Fatal(err)
 	}

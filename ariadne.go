@@ -83,7 +83,7 @@ type (
 	// as capture_gap(P, F, T).
 	CaptureGap = provenance.CaptureGap
 	// EvalOption tunes PQL evaluation (QueryOffline and online queries):
-	// shard-parallel worker count, sequential reference leg, layer prefetch.
+	// shard-parallel worker count, layer prefetch, projection pushdown.
 	EvalOption = driver.EvalOpt
 	// Transport executes partition supersteps on worker processes that
 	// keep the partitions' state resident between supersteps, and runs the
@@ -95,28 +95,15 @@ type (
 // (n <= 0 picks min(8, GOMAXPROCS); 1 disables parallel delta rounds).
 func EvalWorkers(n int) EvalOption { return driver.EvalWorkers(n) }
 
-// SequentialEval forces the seed sequential evaluation path (one worker, no
-// layer prefetch) — the reference leg for differential runs, mirroring
-// WithSequentialBarrier on the engine side.
-func SequentialEval() EvalOption { return driver.SequentialEval() }
+// NoPrefetch disables the layered driver's pipelined layer prefetch. With
+// EvalWorkers(1) it gives the unpipelined single-worker reference leg.
+func NoPrefetch() EvalOption { return driver.NoPrefetch() }
 
 // NoProjection disables projection pushdown during layered replay: every
 // spilled provenance column is materialized whether or not the query reads
 // it. This is the reference leg for differential tests and storage
 // benchmarks; production replays should let the driver project.
 func NoProjection() EvalOption { return driver.NoProjection() }
-
-// Layer file formats for StoreConfig.Format. Readers sniff the version
-// byte, so either format (and mixes of both in one spill directory) always
-// loads regardless of this setting.
-const (
-	// FormatV1 is the original row-oriented layer file.
-	FormatV1 = provenance.FormatV1
-	// FormatV2 is the compressed columnar layout with per-column footer
-	// offsets; the default, and the only format that supports projected
-	// (partial-column) reads.
-	FormatV2 = provenance.FormatV2
-)
 
 // NewMetrics creates an empty metrics registry for WithMetrics. Create it
 // before Run to serve obs.Handler(m) endpoints while the run is live.
@@ -264,17 +251,6 @@ func WithOnlineQuery(def QueryDef) Option {
 func WithEvalWorkers(n int) Option {
 	return func(c *runConfig) error {
 		c.evalOpts = append(c.evalOpts, driver.EvalWorkers(n))
-		return nil
-	}
-}
-
-// WithSequentialEval forces the seed sequential evaluation path for every
-// online query of this run — the reference leg for differential tests,
-// mirroring WithSequentialBarrier. Results are identical either way; only
-// the evaluation machinery differs.
-func WithSequentialEval() Option {
-	return func(c *runConfig) error {
-		c.evalOpts = append(c.evalOpts, driver.SequentialEval())
 		return nil
 	}
 }
@@ -615,7 +591,7 @@ const (
 
 // QueryOffline evaluates def over captured provenance. naiveBudget bounds
 // the naive mode's database bytes (0 = unlimited). Options tune the
-// evaluation pipeline (EvalWorkers, SequentialEval).
+// evaluation pipeline (EvalWorkers, NoProjection).
 func QueryOffline(def QueryDef, store *Store, g *Graph, mode Mode, naiveBudget int64, opts ...EvalOption) (*QueryResult, error) {
 	q, err := def.Build()
 	if err != nil {

@@ -189,11 +189,6 @@ func cmdRun(args []string) error {
 	captureSpec := fs.String("capture", "", "capture policy: full, lineage:<vertex>, or backward")
 	spill := fs.String("spill", "", "spill directory for captured provenance")
 	budget := fs.Int64("budget", 0, "capture memory budget in bytes (0 = unlimited)")
-	syncSpill := fs.Bool("sync-spill", false, "write spilled layers inline in the barrier instead of on the async writer goroutine")
-	spillQueue := fs.Int("spill-queue", 0, "async spill queue depth in layers (0 = default double-buffering)")
-	reloadCache := fs.Int("reload-cache", 0, "spilled-layer reload cache capacity in layers (0 = default, negative = disabled)")
-	storeFormat := fs.String("store-format", "v2", "spilled layer file format: v2 (compressed columnar) or v1 (row-oriented); reads always auto-detect")
-	seqBarrier := fs.Bool("seq-barrier", false, "use the reference sequential superstep barrier instead of the sharded parallel one (bit-identical results, slower)")
 	transportName := fs.String("transport", "inproc", "partition transport: inproc, or tcp to run partitions on worker processes")
 	workers := fs.Int("workers", 0, "worker processes to spawn with -transport tcp (0 = 1)")
 	workerAddrs := fs.String("worker-addrs", "", `comma-separated addresses of already-running "ariadne worker" processes (instead of -workers)`)
@@ -203,7 +198,6 @@ func cmdRun(args []string) error {
 	netHeartbeatMisses := fs.Int("net-heartbeat-misses", 0, "consecutive heartbeat misses before a worker is declared dead (0 = default of 3)")
 	failover := fs.Bool("failover", true, "reassign a dead worker's partitions to surviving workers before falling back to master-local execution")
 	evalWorkers := fs.Int("eval-workers", 0, "shard-parallel PQL evaluation workers for online queries (0 = auto, 1 = sequential rounds)")
-	seqEval := fs.Bool("seq-eval", false, "use the reference sequential PQL evaluation path for online queries (identical results, slower)")
 	online := fs.String("online", "", "comma-separated online queries (apt[:eps], q4, q5, q6)")
 	faults := fs.String("faults", "", `fault-injection spec, e.g. "compute:mode=panic:ss=3:vertex=7" or "spill.write:times=2" (clauses joined with ;)`)
 	workerFaults := fs.String("worker-faults", "", `fault spec forwarded to spawned workers (peer-mesh sites live worker-side), e.g. "peer.send:mode=drop:part=1:ss=2"`)
@@ -229,7 +223,6 @@ func cmdRun(args []string) error {
 		WorkerAddrs:     *workerAddrs,
 		Heartbeat:       *netHeartbeat,
 		HeartbeatMisses: *netHeartbeatMisses,
-		SeqBarrier:      *seqBarrier,
 		Resume:          *resume,
 		Checkpoint:      *ckDir,
 	}); err != nil {
@@ -264,15 +257,6 @@ func cmdRun(args []string) error {
 			onlineNames = append(onlineNames, def.Name)
 		}
 	}
-	var layerFormat int
-	switch *storeFormat {
-	case "", "v2":
-		layerFormat = provenance.FormatV2
-	case "v1":
-		layerFormat = provenance.FormatV1
-	default:
-		return fmt.Errorf("-store-format: unknown format %q (want v1 or v2)", *storeFormat)
-	}
 	if *captureSpec != "" {
 		if *spill != "" {
 			if err := os.MkdirAll(*spill, 0o755); err != nil {
@@ -282,10 +266,6 @@ func cmdRun(args []string) error {
 		storeCfg := provenance.StoreConfig{
 			MemoryBudget: *budget,
 			SpillDir:     *spill,
-			SyncSpill:    *syncSpill,
-			SpillQueue:   *spillQueue,
-			ReloadCache:  *reloadCache,
-			Format:       layerFormat,
 		}
 		var def queries.Definition
 		switch {
@@ -305,12 +285,7 @@ func cmdRun(args []string) error {
 		opts = append(opts, ariadne.WithCaptureQuery(def, storeCfg))
 	}
 
-	if *seqBarrier {
-		opts = append(opts, ariadne.WithSequentialBarrier())
-	}
-	if *seqEval {
-		opts = append(opts, ariadne.WithSequentialEval())
-	} else if *evalWorkers != 0 {
+	if *evalWorkers != 0 {
 		opts = append(opts, ariadne.WithEvalWorkers(*evalWorkers))
 	}
 	// The injector is shared between the engine (compute/capture sites) and
@@ -666,7 +641,6 @@ func cmdQuery(args []string) error {
 	supersteps := fs.Int("supersteps", 20, "PageRank iterations")
 	mode := fs.String("mode", "auto", "auto, online, layered, or naive")
 	evalWorkers := fs.Int("eval-workers", 0, "shard-parallel PQL evaluation workers (0 = auto, 1 = sequential rounds)")
-	seqEval := fs.Bool("seq-eval", false, "use the reference sequential PQL evaluation path (identical results, slower)")
 	var params cliutil.Params
 	fs.Var(&params, "param", "query parameter name=value (repeatable)")
 	edbs := fs.String("edbs", "", "extra EDB declarations, e.g. prov_error:4")
@@ -704,18 +678,14 @@ func cmdQuery(args []string) error {
 	}
 
 	var evalOpts []ariadne.EvalOption
-	if *seqEval {
-		evalOpts = append(evalOpts, ariadne.SequentialEval())
-	} else if *evalWorkers != 0 {
+	if *evalWorkers != 0 {
 		evalOpts = append(evalOpts, ariadne.EvalWorkers(*evalWorkers))
 	}
 
 	var qr *ariadne.QueryResult
 	if *mode == "online" || (*mode == "auto" && (cls == "local" || cls == "forward")) {
 		runOpts := append(opts, ariadne.WithOnlineQuery(def))
-		if *seqEval {
-			runOpts = append(runOpts, ariadne.WithSequentialEval())
-		} else if *evalWorkers != 0 {
+		if *evalWorkers != 0 {
 			runOpts = append(runOpts, ariadne.WithEvalWorkers(*evalWorkers))
 		}
 		res, err := ariadne.Run(g, prog, runOpts...)

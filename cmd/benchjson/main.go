@@ -112,10 +112,10 @@ func main() {
 	maxTrace := flag.Float64("max-trace-overhead", 1.05,
 		"maximum traced/untraced full-run time ratio over TCP loopback "+
 			"(span tracing must cost at most 5% on an instrumented run)")
-	minTupleReduction := flag.Float64("min-bytes-per-tuple-reduction", 3,
-		"minimum v1/v2 on-disk bytes-per-tuple ratio on the WCC-shaped "+
-			"store-format benchmark (how much the columnar layer format "+
-			"shrinks spilled provenance)")
+	maxBytesPerTuple := flag.Float64("max-bytes-per-tuple", 3.0,
+		"maximum on-disk bytes per provenance tuple on BenchmarkStoreFormat's "+
+			"WCC-shaped capture (the columnar layer format stores ~2.96; the "+
+			"v1 row format it replaced took ~9.3)")
 	minReplayProj := flag.Float64("min-replay-projection-speedup", 1.3,
 		"minimum projected/unprojected facts-per-second ratio on the layered "+
 			"replay of a vector-valued capture (what projection pushdown "+
@@ -264,16 +264,18 @@ func main() {
 				fmt.Sprintf("layered_run_speedup %.2f < %.2f", v, *minLayered))
 		}
 	}
-	// bytes_per_tuple_reduction is a floor on storage compression: the same
-	// WCC-shaped capture spilled by both formats, compared by on-disk bytes
-	// per provenance tuple. The v2 columnar blocks (dictionary + delta/varint)
-	// must be at least 3x denser than the v1 row format.
-	if wants("bytes_per_tuple_reduction") {
-		if v := ratio(rep, benches, "bytes_per_tuple_reduction",
-			"BenchmarkStoreFormat/v1",
-			"BenchmarkStoreFormat/v2", "B/tuple"); v > 0 && v < *minTupleReduction {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("bytes_per_tuple_reduction %.2f < %.2f", v, *minTupleReduction))
+	// bytes_per_tuple is an absolute ceiling on storage density: the
+	// WCC-shaped capture's on-disk bytes per provenance tuple. The encoding
+	// is deterministic, so the figure is hardware-independent.
+	if wants("bytes_per_tuple") {
+		if v, ok := metric(benches, "BenchmarkStoreFormat", "B/tuple"); !ok {
+			rep.Failures = append(rep.Failures, "bytes_per_tuple: missing B/tuple for BenchmarkStoreFormat")
+		} else {
+			rep.Ratios["bytes_per_tuple"] = v
+			if v > *maxBytesPerTuple {
+				rep.Failures = append(rep.Failures,
+					fmt.Sprintf("bytes_per_tuple %.3f > %.3f", v, *maxBytesPerTuple))
+			}
 		}
 	}
 	// layered_replay_facts_s is a floor on projection pushdown: replaying a

@@ -16,7 +16,6 @@ type RunFlags struct {
 	WorkerAddrs     string // comma-separated addresses of already-running workers (tcp only)
 	Heartbeat       time.Duration
 	HeartbeatMisses int
-	SeqBarrier      bool
 	Resume          bool
 	Checkpoint      string
 }
@@ -31,9 +30,6 @@ func ValidateRunFlags(f RunFlags) error {
 		return fmt.Errorf("-transport %q: want inproc or tcp", f.Transport)
 	}
 	tcp := f.Transport == "tcp"
-	if f.SeqBarrier && tcp {
-		return errors.New("-seq-barrier is the reference in-process barrier; it cannot drive remote workers (-transport tcp)")
-	}
 	if f.Resume && f.Checkpoint == "" {
 		return errors.New("-resume needs -checkpoint to locate checkpoints")
 	}

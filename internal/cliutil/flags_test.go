@@ -17,13 +17,11 @@ func TestValidateRunFlags(t *testing.T) {
 		{"tcp spawn", RunFlags{Transport: "tcp", Workers: 2}, ""},
 		{"tcp attach", RunFlags{Transport: "tcp", WorkerAddrs: "127.0.0.1:7100"}, ""},
 		{"resume with checkpoint", RunFlags{Resume: true, Checkpoint: "ck"}, ""},
-		{"seq barrier local", RunFlags{SeqBarrier: true}, ""},
 		{"tcp attach multi", RunFlags{Transport: "tcp", WorkerAddrs: "127.0.0.1:7100,127.0.0.1:7101"}, ""},
 		{"heartbeat configured", RunFlags{Transport: "tcp", Workers: 2, Heartbeat: 250 * time.Millisecond, HeartbeatMisses: 2}, ""},
 		{"heartbeat disabled", RunFlags{Transport: "tcp", Workers: 2}, ""},
 
 		{"unknown transport", RunFlags{Transport: "udp"}, `-transport "udp"`},
-		{"seq barrier over tcp", RunFlags{Transport: "tcp", SeqBarrier: true}, "-seq-barrier"},
 		{"resume without checkpoint", RunFlags{Resume: true}, "-resume needs -checkpoint"},
 		{"workers without tcp", RunFlags{Workers: 2}, "-workers only applies"},
 		{"addrs without tcp", RunFlags{WorkerAddrs: "127.0.0.1:7100"}, "-worker-addrs only applies"},

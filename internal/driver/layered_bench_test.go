@@ -55,6 +55,6 @@ func BenchmarkLayeredEval(b *testing.B) {
 		}
 		b.ReportMetric(float64(facts)*float64(b.N)/b.Elapsed().Seconds(), "facts/s")
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, SequentialEval(), Interpretive()) })
+	b.Run("sequential", func(b *testing.B) { run(b, EvalWorkers(1), NoPrefetch(), Interpretive()) })
 	b.Run("pipelined", func(b *testing.B) { run(b, EvalWorkers(8), Interpretive()) })
 }

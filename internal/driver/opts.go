@@ -8,11 +8,10 @@ import (
 )
 
 // evalConfig carries the per-run evaluation tuning shared by the three
-// drivers: shard-parallel worker count, the sequential reference leg, the
-// layered prefetch pipeline, and the choice of evaluation machinery.
+// drivers: shard-parallel worker count, the layered prefetch pipeline,
+// projection pushdown, and the choice of evaluation machinery.
 type evalConfig struct {
 	workers      int // 0: auto (min(8, GOMAXPROCS))
-	sequential   bool
 	noPrefetch   bool
 	noProjection bool
 	interpretive bool
@@ -27,13 +26,6 @@ type EvalOpt func(*evalConfig)
 // keeps the prefetch pipeline.
 func EvalWorkers(n int) EvalOpt {
 	return func(c *evalConfig) { c.workers = n }
-}
-
-// SequentialEval forces the seed sequential evaluation path: one worker and
-// no layer prefetch. This is the reference leg for differential testing and
-// benchmarking, mirroring the engine's WithSequentialBarrier.
-func SequentialEval() EvalOpt {
-	return func(c *evalConfig) { c.sequential = true }
 }
 
 // NoPrefetch disables the layered driver's pipelined layer prefetch while
@@ -69,10 +61,6 @@ func resolveEvalConfig(opts []EvalOpt) evalConfig {
 	var c evalConfig
 	for _, o := range opts {
 		o(&c)
-	}
-	if c.sequential {
-		c.workers = 1
-		c.noPrefetch = true
 	}
 	if c.workers <= 0 {
 		c.workers = runtime.GOMAXPROCS(0)

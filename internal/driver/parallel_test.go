@@ -116,7 +116,7 @@ func TestParallelEvalDifferential(t *testing.T) {
 			if !q.Class.LayeredEvaluable() {
 				t.Skipf("%s is %v, not layered-evaluable", def.Name, q.Class)
 			}
-			ref, err := Layered(q, store, g, SequentialEval(), Interpretive())
+			ref, err := Layered(q, store, g, EvalWorkers(1), NoPrefetch(), Interpretive())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestParallelEvalDifferential(t *testing.T) {
 				}
 				return o.Result()
 			}
-			refSig := resultSig(runOnline(SequentialEval(), Interpretive()))
+			refSig := resultSig(runOnline(EvalWorkers(1), NoPrefetch(), Interpretive()))
 			for _, w := range workerCounts {
 				res := runOnline(EvalWorkers(w), Interpretive())
 				requireSameSig(t, fmt.Sprintf("workers=%d", w), refSig, resultSig(res))

@@ -34,7 +34,7 @@ const (
 	MetricCaptureShed      = "ariadne_capture_shed_partitions"         // gauge: partitions currently degraded
 	MetricCaptureGaps      = "ariadne_capture_gap_supersteps_total"    // counter: (partition, superstep) capture gaps
 	MetricFaultsInjected   = "ariadne_faults_injected_total"           // counter
-	// Parallel-barrier + async-spill series (PR 4).
+	// Parallel-barrier and async spill series.
 	MetricCombinedSender      = "ariadne_messages_combined_sender_total" // counter: merged inside the sending partition
 	MetricDeliveryMaxShard    = "ariadne_delivery_max_shard_messages"    // gauge: busiest delivery shard this superstep
 	MetricSpillQueueDepth     = "ariadne_spill_queue_depth"              // gauge: async spill writes in flight

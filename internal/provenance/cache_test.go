@@ -2,11 +2,14 @@ package provenance
 
 import "testing"
 
-func TestReloadCacheHitsAndEviction(t *testing.T) {
+// TestLayerCacheHitsAndEviction pins the spilled-layer reload cache: hits,
+// LRU eviction at reloadCacheLayers, and invalidation on truncation.
+func TestLayerCacheHitsAndEviction(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore(StoreConfig{SpillAll: true, SpillDir: dir, ReloadCache: 2})
+	s := NewStore(StoreConfig{SpillAll: true, SpillDir: dir})
 	defer s.Close()
-	for ss := 0; ss < 4; ss++ {
+	const layers = reloadCacheLayers + 2
+	for ss := 0; ss < layers; ss++ {
 		if err := s.AppendLayer(sampleLayer(ss, 4)); err != nil {
 			t.Fatal(err)
 		}
@@ -29,19 +32,27 @@ func TestReloadCacheHitsAndEviction(t *testing.T) {
 		t.Error("second read of a spilled layer should come from the cache")
 	}
 
-	// Capacity 2: touching layers 1 and 2 evicts layer 0 (LRU).
-	if _, err := s.Layer(1); err != nil {
-		t.Fatal(err)
+	// Touching reloadCacheLayers-1 other layers keeps layer 0 cached; one
+	// more evicts it (LRU).
+	for ss := 1; ss < reloadCacheLayers; ss++ {
+		if _, err := s.Layer(ss); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := s.Layer(2); err != nil {
-		t.Fatal(err)
+	if l, err := s.Layer(0); err != nil || l != l0a {
+		t.Fatalf("layer 0 should still be cached with %d layers reloaded (err %v)", reloadCacheLayers, err)
+	}
+	for ss := 1; ss <= reloadCacheLayers; ss++ {
+		if _, err := s.Layer(ss); err != nil {
+			t.Fatal(err)
+		}
 	}
 	l0c, err := s.Layer(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l0c == l0a {
-		t.Error("layer 0 should have been evicted by two newer reloads")
+		t.Errorf("layer 0 should have been evicted by %d newer reloads", reloadCacheLayers)
 	}
 
 	// Truncation invalidates the cache.
@@ -49,7 +60,7 @@ func TestReloadCacheHitsAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.TruncateLayers(3); err != nil {
+	if err := s.TruncateLayers(layers - 1); err != nil {
 		t.Fatal(err)
 	}
 	l2b, err := s.Layer(2)
@@ -58,30 +69,5 @@ func TestReloadCacheHitsAndEviction(t *testing.T) {
 	}
 	if l2a == l2b {
 		t.Error("truncate must invalidate the reload cache")
-	}
-}
-
-func TestReloadCacheDisabled(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStore(StoreConfig{SpillAll: true, SpillDir: dir, ReloadCache: -1})
-	defer s.Close()
-	for ss := 0; ss < 2; ss++ {
-		if err := s.AppendLayer(sampleLayer(ss, 4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	a, err := s.Layer(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Layer(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Error("ReloadCache < 0 must disable caching")
 	}
 }

@@ -33,7 +33,13 @@ func TestSpillWriteRetriesTransientErrors(t *testing.T) {
 	if err := s.AppendLayer(sampleLayer(0, 5)); err != nil {
 		t.Fatalf("transient spill errors should be retried: %v", err)
 	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("transient spill errors should be retried: %v", err)
+	}
 	// The layer landed at the final path, readable, with no temp debris.
+	if s.SpilledLayers() != 1 {
+		t.Errorf("retried layer not spilled: %d spilled layers", s.SpilledLayers())
+	}
 	got, err := s.Layer(0)
 	if err != nil {
 		t.Fatal(err)
@@ -80,20 +86,27 @@ func TestSpillWriteExhaustedRetriesLeaveNoPartialFile(t *testing.T) {
 			t.Errorf("failed spill left files behind: %v", names)
 		}
 	})
-	// SyncSpill: the pre-pipeline contract — the error surfaces from
-	// AppendLayer itself.
+	// Through Sync: the exhausted write surfaces exactly once — at the
+	// append that drained its completion, or else at Sync — and a second
+	// Sync reports nothing.
 	t.Run("sync", func(t *testing.T) {
 		dir := t.TempDir()
 		s := NewStore(StoreConfig{
-			SpillAll:  true,
-			SpillDir:  dir,
-			SyncSpill: true,
-			Fault:     fault.NewInjector(fault.IOErrors(fault.SiteSpillWrite, 100)),
+			SpillAll: true,
+			SpillDir: dir,
+			Fault:    fault.NewInjector(fault.IOErrors(fault.SiteSpillWrite, 100)),
 		})
 		defer s.Close()
-		err := s.AppendLayer(sampleLayer(0, 5))
-		if !errors.Is(err, fault.ErrInjected) {
+		appendErr := s.AppendLayer(sampleLayer(0, 5))
+		syncErr := s.Sync()
+		if (appendErr == nil) == (syncErr == nil) {
+			t.Fatalf("append = %v, Sync = %v; want the error from exactly one", appendErr, syncErr)
+		}
+		if err := errors.Join(appendErr, syncErr); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("exhausted retries = %v, want ErrInjected", err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatalf("second Sync = %v, want the error cleared", err)
 		}
 		if names := listDir(t, dir); len(names) != 0 {
 			t.Errorf("failed spill left files behind: %v", names)
@@ -109,7 +122,7 @@ func layerFileCases(t *testing.T) []struct {
 } {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "layer.prov")
-	if _, err := writeLayerFile(path, sampleLayer(0, 6), FormatV2, nil, nil); err != nil {
+	if _, err := writeLayerFile(path, sampleLayer(0, 6), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	v2, err := os.ReadFile(path)

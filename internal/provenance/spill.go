@@ -13,7 +13,8 @@ import (
 	"ariadne/internal/value"
 )
 
-// Binary layer file format, version 1 (the HDFS-offload stand-in):
+// Layer files are written in the columnar version 2 format (columnar.go).
+// Version 1, the row-oriented format earlier builds spilled, is still read:
 //
 //	magic "APRV" | version:1 | superstep:uvarint | nrecords:uvarint | records
 //
@@ -23,15 +24,13 @@ import (
 //	[value] | nsends:uvarint sends | nrecvs:uvarint recvs |
 //	nemitted:uvarint { tableLen:uvarint table nargs:uvarint args }
 //
-// flags: bit0 HasValue, bit1 SentAny.
-//
-// Version 2 is the columnar format in columnar.go; readers sniff the
-// version byte, so v1 files written by earlier builds keep loading.
+// flags: bit0 HasValue, bit1 SentAny. Readers sniff the version byte, so
+// spill directories from earlier builds keep loading.
 
 var layerMagic = [4]byte{'A', 'P', 'R', 'V'}
 
 const (
-	layerVersion = 1
+	layerVersion = 1 // read-only: the row format of earlier builds
 	// spillAttempts/spillBackoff bound the retry loop for transient write
 	// errors (capped exponential backoff via fault.Retry).
 	spillAttempts = 4
@@ -41,16 +40,16 @@ const (
 	maxDecodeLen = 1 << 26
 )
 
-// writeLayerFile persists one layer atomically in the given format (v1 row
-// or v2 columnar): the bytes go to a temp file, are fsynced, and only then
-// renamed to the final path, so a crash or I/O error mid-write never leaves
-// a partial layer visible where readLayerFile would trip over it. Transient
+// writeLayerFile persists one layer atomically in the columnar format: the
+// bytes go to a temp file, are fsynced, and only then renamed to the final
+// path, so a crash or I/O error mid-write never leaves a partial layer
+// visible where readLayerFile would trip over it. Transient
 // errors (injectable via inj for testing) are retried with capped
 // exponential backoff; each fallback to retry is recorded as a warning
 // trace event and a retry counter bump — never silently — so
 // fault-injection runs are auditable from the trace buffer alone. Returns
 // the on-disk size of the written file.
-func writeLayerFile(path string, l *Layer, format int, inj *fault.Injector, m *obs.Metrics) (int64, error) {
+func writeLayerFile(path string, l *Layer, inj *fault.Injector, m *obs.Metrics) (int64, error) {
 	var written int64
 	attempt := func() error {
 		if err := inj.Hit(fault.SiteSpillWrite, l.Superstep, -1, -1); err != nil {
@@ -62,12 +61,7 @@ func writeLayerFile(path string, l *Layer, format int, inj *fault.Injector, m *o
 			return err
 		}
 		cw := &countingWriter{w: bufio.NewWriter(f)}
-		if format == FormatV1 {
-			err = encodeLayer(cw, l)
-		} else {
-			err = encodeLayerColumnar(cw, l)
-		}
-		if err != nil {
+		if err := encodeLayerColumnar(cw, l); err != nil {
 			f.Close()
 			os.Remove(tmp)
 			return err
@@ -188,60 +182,12 @@ func mergeLayerColumns(path string, l *Layer, add colMask) error {
 	return cl.mergeInto(l, add)
 }
 
-func encodeLayer(w io.Writer, l *Layer) error {
-	if _, err := w.Write(layerMagic[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{layerVersion}); err != nil {
-		return err
-	}
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(l.Superstep))
-	buf = binary.AppendUvarint(buf, uint64(len(l.Records)))
-	for i := range l.Records {
-		r := &l.Records[i]
-		buf = binary.AppendUvarint(buf, uint64(r.Vertex))
-		buf = binary.AppendUvarint(buf, uint64(r.PrevActive+1))
-		var flags byte
-		if r.HasValue {
-			flags |= 1
-		}
-		if r.SentAny {
-			flags |= 2
-		}
-		buf = append(buf, flags)
-		if r.HasValue {
-			buf = r.Value.AppendBinary(buf)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Sends)))
-		for _, m := range r.Sends {
-			buf = binary.AppendUvarint(buf, uint64(m.Peer))
-			buf = m.Val.AppendBinary(buf)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Recvs)))
-		for _, m := range r.Recvs {
-			buf = binary.AppendUvarint(buf, uint64(m.Peer))
-			buf = m.Val.AppendBinary(buf)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Emitted)))
-		for _, fc := range r.Emitted {
-			buf = binary.AppendUvarint(buf, uint64(len(fc.Table)))
-			buf = append(buf, fc.Table...)
-			buf = binary.AppendUvarint(buf, uint64(len(fc.Args)))
-			for _, a := range fc.Args {
-				buf = a.AppendBinary(buf)
-			}
-		}
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
 type byteReader interface {
 	io.Reader
 	io.ByteReader
 }
 
+// decodeLayer reads a v1 row-format layer.
 func decodeLayer(r byteReader) (*Layer, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {

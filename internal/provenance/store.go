@@ -23,9 +23,10 @@ var ErrBudgetExceeded = errors.New("provenance: memory budget exceeded and no sp
 type StoreConfig struct {
 	// MemoryBudget caps resident layer bytes; 0 means unlimited.
 	MemoryBudget int64
-	// SpillDir, when set, receives the oldest layers as binary files once
-	// the budget is exceeded (the stand-in for the paper's asynchronous
-	// HDFS offload).
+	// SpillDir, when set, receives the oldest layers as columnar (v2)
+	// layer files once the budget is exceeded (the stand-in for the
+	// paper's asynchronous HDFS offload). A background writer goroutine
+	// writes them; a write error surfaces at the next AppendLayer or Sync.
 	SpillDir string
 	// SpillAll writes every layer to SpillDir immediately and keeps nothing
 	// resident — the paper's capture-for-offline-querying mode, where the
@@ -41,37 +42,18 @@ type StoreConfig struct {
 	// back to retry under (injected or real) I/O faults. nil disables
 	// instrumentation.
 	Metrics *obs.Metrics
-	// SyncSpill disables the asynchronous spill pipeline: layer files are
-	// written inline and write errors surface immediately from AppendLayer
-	// (the pre-pipeline behavior; also what the fault-injection tests that
-	// assert on immediate errors select).
-	SyncSpill bool
-	// SpillQueue bounds the async spill pipeline: at most this many layer
-	// writes may be queued or in flight before AppendLayer blocks
-	// (backpressure). 0 means the default of 2 — double-buffering: one
-	// layer being written while the next is queued.
-	SpillQueue int
-	// ReloadCache bounds the LRU cache of spilled layers reloaded by
-	// Layer(): layered backward evaluation revisits the same layer once per
-	// rule body, so rereading the file each visit is pure waste. 0 means
-	// the default of 3 layers; negative disables caching.
-	ReloadCache int
-	// Format selects the layer file format for spilled layers: FormatV1
-	// (row-oriented) or FormatV2 (columnar with projection support). 0
-	// means FormatV2. Reads sniff the version byte, so a store always loads
-	// files of either format regardless of this setting.
-	Format int
 }
 
-// Layer file format selectors for StoreConfig.Format.
 const (
-	FormatV1 = 1 // row-oriented stream (the original format)
-	FormatV2 = 2 // columnar blocks with per-column footer offsets
-)
-
-const (
-	defaultSpillQueue  = 2
-	defaultReloadCache = 3
+	// spillQueueDepth bounds the async spill pipeline: at most this many
+	// layer writes may be queued or in flight before AppendLayer blocks
+	// (backpressure) — double-buffering, one layer being written while the
+	// next is queued.
+	spillQueueDepth = 2
+	// reloadCacheLayers bounds the LRU cache of spilled layers reloaded by
+	// Layer(): layered backward evaluation revisits the same layer once per
+	// rule body, so rereading the file each visit is pure waste.
+	reloadCacheLayers = 3
 )
 
 // CaptureGap records a contiguous superstep range whose provenance was
@@ -126,7 +108,7 @@ type Store struct {
 	highWater   int64
 	asyncErr    error
 
-	// LRU reload cache for spilled layers (bounded, default 3). Entries may
+	// LRU reload cache for spilled layers (reloadCacheLayers). Entries may
 	// be partially materialized (a projected reload); their byte charge
 	// covers only the decoded columns, and a wider later projection merges
 	// the missing columns into the cached layer in place.
@@ -143,21 +125,13 @@ type cacheEntry struct {
 	bytes int64
 }
 
-// format returns the layer file format in effect for new spill writes.
-func (s *Store) format() int {
-	if s.cfg.Format == 0 {
-		return FormatV2
-	}
-	return s.cfg.Format
-}
-
 // NewStore creates an empty store.
 func NewStore(cfg StoreConfig) *Store {
 	return &Store{cfg: cfg, vertices: make(map[VertexID]struct{})}
 }
 
 // spillPipeline is the bounded background writer: jobs carries layers to
-// persist (capacity = SpillQueue, giving double-buffering by default), done
+// persist (capacity spillQueueDepth), done
 // carries completions back to the store goroutine.
 type spillPipeline struct {
 	jobs chan spillJob
@@ -185,13 +159,9 @@ type spillDone struct {
 // spill is needed, so stores that never spill never spawn a goroutine.
 func (s *Store) pipeline() *spillPipeline {
 	if s.sp == nil {
-		q := s.cfg.SpillQueue
-		if q <= 0 {
-			q = defaultSpillQueue
-		}
 		s.sp = &spillPipeline{
-			jobs: make(chan spillJob, q),
-			done: make(chan spillDone, q+1),
+			jobs: make(chan spillJob, spillQueueDepth),
+			done: make(chan spillDone, spillQueueDepth+1),
 		}
 		s.pending = make(map[int]*Layer)
 		go func(sp *spillPipeline) {
@@ -205,8 +175,8 @@ func (s *Store) pipeline() *spillPipeline {
 	return s.sp
 }
 
-// enqueueSpill moves layer i onto the spill pipeline (or writes it inline
-// under SyncSpill). Accounting happens at enqueue — the layer is logically
+// enqueueSpill moves layer i onto the spill pipeline. Accounting happens at
+// enqueue — the layer is logically
 // spilled from this point, though Layer(i) still serves it from the pending
 // set until the write completes. A full queue blocks, draining completions
 // while waiting (backpressure instead of unbounded buffering).
@@ -214,18 +184,6 @@ func (s *Store) enqueueSpill(i int, l *Layer) error {
 	path := filepath.Join(s.cfg.SpillDir, layerFileName(i))
 	enc := l.EncodedSize()
 	attrSS := len(s.layers) - 1 // the superstep being appended
-	if s.cfg.SyncSpill {
-		n, err := s.spillLayer(path, l, enc, attrSS)
-		if err != nil {
-			return fmt.Errorf("provenance: spilling layer %d: %w", i, err)
-		}
-		s.diskBytes += n
-		s.resident -= l.MemSize()
-		s.layers[i] = nil
-		s.spilled[i] = true
-		s.files[i] = path
-		return nil
-	}
 	sp := s.pipeline()
 	s.resident -= l.MemSize()
 	s.layers[i] = nil
@@ -250,7 +208,7 @@ func (s *Store) enqueueSpill(i int, l *Layer) error {
 
 // complete applies one writer completion: a success finalizes the spill; a
 // failure reverts the layer to resident and latches the first error so the
-// next AppendLayer (or Sync) reports it — the async-spill error contract.
+// next AppendLayer (or Sync) reports it — the async spill error contract.
 func (s *Store) complete(d spillDone) {
 	s.outstanding--
 	l := s.pending[d.idx]
@@ -494,20 +452,18 @@ func (s *Store) spillOldest() error {
 	return nil
 }
 
-// spillLayer writes one layer file in the configured format, accounting
-// bytes and duration to the metrics registry under superstep attrSS (enc is
-// the layer's encoded size, which the caller has already computed for its
-// own bookkeeping). Returns the on-disk file size. Runs on the caller
-// goroutine under SyncSpill and on the pipeline's writer goroutine
-// otherwise — everything it touches is either job-local or internally
-// synchronized.
+// spillLayer writes one layer file, accounting bytes and duration to the
+// metrics registry under superstep attrSS (enc is the layer's encoded size,
+// which the caller has already computed for its own bookkeeping). Returns
+// the on-disk file size. Runs on the pipeline's writer goroutine —
+// everything it touches is either job-local or internally synchronized.
 func (s *Store) spillLayer(path string, l *Layer, enc int64, attrSS int) (int64, error) {
 	m := s.cfg.Metrics
 	var start time.Time
 	if m != nil {
 		start = time.Now()
 	}
-	n, err := writeLayerFile(path, l, s.format(), s.cfg.Fault, m)
+	n, err := writeLayerFile(path, l, s.cfg.Fault, m)
 	if err != nil {
 		return 0, err
 	}
@@ -595,20 +551,13 @@ func (s *Store) cacheGet(i int) *cacheEntry {
 }
 
 // cachePut inserts a reloaded layer with the columns it has materialized,
-// evicting the least recently used entry beyond the configured capacity.
+// evicting the least recently used entry beyond reloadCacheLayers.
 // Byte accounting charges each entry for its decoded columns only: a
 // projected layer without its value/message payloads costs a fraction of
 // the full layer (the reload LRU's budget, surfaced via CacheBytes).
 func (s *Store) cachePut(i int, l *Layer, mask colMask) {
-	capLayers := s.cfg.ReloadCache
-	if capLayers == 0 {
-		capLayers = defaultReloadCache
-	}
-	if capLayers < 0 {
-		return
-	}
 	if s.cache == nil {
-		s.cache = make(map[int]*cacheEntry, capLayers)
+		s.cache = make(map[int]*cacheEntry, reloadCacheLayers)
 	}
 	e := &cacheEntry{l: l, mask: mask, bytes: l.MemSize()}
 	if old := s.cache[i]; old != nil {
@@ -617,7 +566,7 @@ func (s *Store) cachePut(i int, l *Layer, mask colMask) {
 	s.cache[i] = e
 	s.cacheBytes += e.bytes
 	s.cacheLRU = append(s.cacheLRU, i)
-	for len(s.cacheLRU) > capLayers {
+	for len(s.cacheLRU) > reloadCacheLayers {
 		evict := s.cacheLRU[0]
 		s.cacheLRU = s.cacheLRU[1:]
 		if old := s.cache[evict]; old != nil {
@@ -646,9 +595,10 @@ func (s *Store) CacheBytes() int64 { return s.cacheBytes }
 func (s *Store) TotalBytes() int64 { return s.totalBytes }
 
 // DiskBytes returns the actual on-disk size of the spilled layer files —
-// what the columnar format shrinks relative to TotalBytes' v1-shaped
-// logical size (the bytes_per_tuple benchmark ratio divides this by
-// TotalTuples).
+// what the columnar format shrinks relative to TotalBytes' row-shaped
+// logical size (the bytes_per_tuple benchmark gate divides this by
+// TotalTuples). A layer counts once its background write completes, so
+// call Sync first for the settled figure.
 func (s *Store) DiskBytes() int64 { return s.diskBytes }
 
 // TotalTuples returns the number of provenance tuples captured.

@@ -10,17 +10,16 @@ import "testing"
 // charge in place, and eviction returns exactly what the evicted entry
 // was charged.
 func TestStoreCacheBytesProjected(t *testing.T) {
-	s := NewStore(StoreConfig{
-		SpillAll:    true,
-		SyncSpill:   true,
-		SpillDir:    t.TempDir(),
-		ReloadCache: 2,
-	})
+	s := NewStore(StoreConfig{SpillAll: true, SpillDir: t.TempDir()})
 	defer s.Close()
-	for ss := 0; ss < 3; ss++ {
+	// One layer more than the cache holds, so the last reload evicts.
+	for ss := 0; ss <= reloadCacheLayers; ss++ {
 		if err := s.AppendLayer(wccLayer(ss, 500, 4)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	if got := s.CacheBytes(); got != 0 {
 		t.Fatalf("CacheBytes before any reload = %d, want 0", got)
@@ -66,13 +65,18 @@ func TestStoreCacheBytesProjected(t *testing.T) {
 		t.Fatalf("widened layer MemSize %d did not grow past projected charge %d", l0.MemSize(), partial)
 	}
 
-	// The widening access made layer 0 most recently used, so reloading a
-	// third layer evicts layer 1 and refunds exactly its charge.
-	l2, err := s.Layer(2)
-	if err != nil {
-		t.Fatal(err)
+	// The widening access made layer 0 more recently used than layer 1, so
+	// filling the cache with layers 2 onward evicts layer 1 and refunds
+	// exactly its charge.
+	want := l0.MemSize()
+	for ss := 2; ss <= reloadCacheLayers; ss++ {
+		l, err := s.Layer(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += l.MemSize()
 	}
-	if got, want := s.CacheBytes(), l0.MemSize()+l2.MemSize(); got != want {
+	if got := s.CacheBytes(); got != want {
 		t.Fatalf("CacheBytes after eviction = %d, want %d", got, want)
 	}
 }
