@@ -183,20 +183,34 @@ func (r *Runner) timeRun(g *graph.Graph, prog func() ariadne.Program, opts ...ar
 	return trimmedMean(times), last, nil
 }
 
-// timeInterleaved measures several Run configurations of one analytic by
-// process CPU time, in rounds: each round runs every leg once, in order,
-// after a forced GC so no leg pays for the previous one's garbage, and each
-// leg keeps the trimmed mean of its rounds. CPU time does not count the
-// time the process waits for a core, and interleaving spreads whatever
-// load remains over all legs, so experiments that compare legs of one row
-// (Figure 7's full vs. custom capture) keep their shape on a busy machine.
+// timeInterleaved measures several Run configurations of one analytic with
+// cpuInterleaved.
 func (r *Runner) timeInterleaved(g *graph.Graph, prog func() ariadne.Program, legs ...[]ariadne.Option) ([]time.Duration, error) {
+	fns := make([]func() error, len(legs))
+	for l, opts := range legs {
+		fns[l] = func() error {
+			_, err := ariadne.Run(g, prog(), opts...)
+			return err
+		}
+	}
+	return r.cpuInterleaved(fns...)
+}
+
+// cpuInterleaved measures legs by process CPU time, in rounds: each round
+// runs every leg once, in order, after a forced GC so no leg pays for the
+// previous one's garbage, and each leg keeps the trimmed mean of its
+// rounds. CPU time does not count the time the process waits for a core,
+// and interleaving spreads whatever load remains over all legs, so
+// experiments that compare legs of one row (Figure 7's full vs. custom
+// capture, Figure 12's full vs. custom trace) keep their shape on a busy
+// machine.
+func (r *Runner) cpuInterleaved(legs ...func() error) ([]time.Duration, error) {
 	times := make([][]time.Duration, len(legs))
 	for i := 0; i < r.cfg.repeat(); i++ {
-		for l, opts := range legs {
+		for l, leg := range legs {
 			runtime.GC()
 			start := cpuTime()
-			if _, err := ariadne.Run(g, prog(), opts...); err != nil {
+			if err := leg(); err != nil {
 				return nil, err
 			}
 			times[l] = append(times[l], cpuTime()-start)

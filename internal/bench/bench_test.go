@@ -182,6 +182,9 @@ func TestFig11And12Shapes(t *testing.T) {
 	if len(f11) != 3 {
 		t.Fatalf("fig11 rows = %d", len(f11))
 	}
+	// As for Figure 7: interleaved CPU-time rounds, five of them, so one
+	// slow trace does not decide the row.
+	r.cfg.Repeat = 5
 	f12, err := r.Fig12()
 	if err != nil {
 		t.Fatal(err)

@@ -448,9 +448,9 @@ type BackwardRow struct {
 }
 
 // Fig12 measures layered backward tracing (Query 10 on full provenance vs
-// Query 12 on Query 11's custom provenance).
+// Query 12 on Query 11's custom provenance), in process CPU time.
 func (r *Runner) Fig12() ([]BackwardRow, error) {
-	fmt.Fprintf(r.cfg.out(), "\nFigure 12: Backward lineage, layered (x baseline)\n%-8s %-9s %12s %8s %8s %10s\n", "Dataset", "Analytic", "Baseline", "Full", "Custom", "TraceSize")
+	fmt.Fprintf(r.cfg.out(), "\nFigure 12: Backward lineage, layered (x baseline, process CPU time)\n%-8s %-9s %12s %8s %8s %10s\n", "Dataset", "Analytic", "Baseline", "Full", "Custom", "TraceSize")
 	var rows []BackwardRow
 	for _, d := range r.datasets() {
 		specs, err := r.analyticsFor(d)
@@ -458,10 +458,6 @@ func (r *Runner) Fig12() ([]BackwardRow, error) {
 			return nil, err
 		}
 		for _, spec := range specs {
-			base, _, err := r.timeRun(spec.g, spec.prog, spec.opts...)
-			if err != nil {
-				return nil, err
-			}
 			// Full capture to disk (the HDFS stand-in); the trace starts at a
 			// vertex active in the last superstep.
 			spillDir, err := os.MkdirTemp("", "ariadne-bench-*")
@@ -469,7 +465,7 @@ func (r *Runner) Fig12() ([]BackwardRow, error) {
 				return nil, err
 			}
 			defer os.RemoveAll(spillDir)
-			_, fullRes, err := r.timeRun(spec.g, spec.prog,
+			fullRes, err := ariadne.Run(spec.g, spec.prog(),
 				append([]ariadne.Option{ariadne.WithCaptureQuery(queries.CaptureFull(),
 					provenance.StoreConfig{SpillDir: spillDir, SpillAll: true})}, spec.opts...)...)
 			if err != nil {
@@ -486,31 +482,39 @@ func (r *Runner) Fig12() ([]BackwardRow, error) {
 			}
 			alpha, sigma := last.Records[0].Vertex, last.Superstep
 
-			start := time.Now()
-			q10, err := ariadne.QueryOffline(queries.BackwardTrace(alpha, sigma), fullStore, spec.g, ariadne.ModeLayered, 0)
-			if err != nil {
-				return nil, err
-			}
-			fullT := time.Since(start)
-
 			custDir, err := os.MkdirTemp("", "ariadne-bench-*")
 			if err != nil {
 				return nil, err
 			}
 			defer os.RemoveAll(custDir)
-			_, custRes, err := r.timeRun(spec.g, spec.prog,
+			custRes, err := ariadne.Run(spec.g, spec.prog(),
 				append([]ariadne.Option{ariadne.WithCaptureQuery(queries.CaptureBackwardCustom(),
 					provenance.StoreConfig{SpillDir: custDir, SpillAll: true})}, spec.opts...)...)
 			if err != nil {
 				return nil, err
 			}
 			defer custRes.Provenance.Close()
-			start = time.Now()
-			q12, err := ariadne.QueryOffline(queries.BackwardTraceCustom(alpha, sigma), custRes.Provenance, spec.g, ariadne.ModeLayered, 0)
+
+			// The bare analytic and the two layered traces, timed as
+			// interleaved legs of one row.
+			var q10, q12 *ariadne.QueryResult
+			ts, err := r.cpuInterleaved(
+				func() error {
+					_, err := ariadne.Run(spec.g, spec.prog(), spec.opts...)
+					return err
+				},
+				func() (err error) {
+					q10, err = ariadne.QueryOffline(queries.BackwardTrace(alpha, sigma), fullStore, spec.g, ariadne.ModeLayered, 0)
+					return err
+				},
+				func() (err error) {
+					q12, err = ariadne.QueryOffline(queries.BackwardTraceCustom(alpha, sigma), custRes.Provenance, spec.g, ariadne.ModeLayered, 0)
+					return err
+				})
 			if err != nil {
 				return nil, err
 			}
-			custT := time.Since(start)
+			base, fullT, custT := ts[0], ts[1], ts[2]
 
 			row := BackwardRow{
 				Dataset: d.Name, Analytic: spec.name, Baseline: base,
