@@ -140,7 +140,7 @@ final(X, D, I) :- value(X, D, I).
 
 // TestEvalOptionsThroughAPI drives the shard-parallel evaluation options
 // end to end: online via Run options, offline via QueryOffline options, and
-// checks the sequential reference leg agrees with the parallel one.
+// checks the one-worker leg agrees with the eight-worker one.
 func TestEvalOptionsThroughAPI(t *testing.T) {
 	g := testGraph(t, 7, 5, 35)
 	run := func(opts ...ariadne.Option) *ariadne.QueryResult {
@@ -165,7 +165,7 @@ func TestEvalOptionsThroughAPI(t *testing.T) {
 	}
 	def := queries.MonotoneCheck()
 	offSeq, err := ariadne.QueryOffline(def, res.Provenance, g, ariadne.ModeLayered, 0,
-		ariadne.EvalWorkers(1), ariadne.NoPrefetch())
+		ariadne.EvalWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ type (
 	// as capture_gap(P, F, T).
 	CaptureGap = provenance.CaptureGap
 	// EvalOption tunes PQL evaluation (QueryOffline and online queries):
-	// shard-parallel worker count, layer prefetch, projection pushdown.
+	// shard-parallel worker count and projection pushdown.
 	EvalOption = driver.EvalOpt
 	// Transport executes partition supersteps on worker processes that
 	// keep the partitions' state resident between supersteps, and runs the
@@ -94,10 +94,6 @@ type (
 // EvalWorkers sets the shard-parallel evaluation worker count for a query
 // (n <= 0 picks min(8, GOMAXPROCS); 1 disables parallel delta rounds).
 func EvalWorkers(n int) EvalOption { return driver.EvalWorkers(n) }
-
-// NoPrefetch disables the layered driver's pipelined layer prefetch. With
-// EvalWorkers(1) it gives the unpipelined single-worker reference leg.
-func NoPrefetch() EvalOption { return driver.NoPrefetch() }
 
 // NoProjection disables projection pushdown during layered replay: every
 // spilled provenance column is materialized whether or not the query reads
