@@ -371,9 +371,9 @@ func (o *replayEvalObserver) Finish(int) error { return nil }
 // for backward queries, as a VC computation over the provenance graph.
 // Mixed queries are rejected (Def. 5.2). Options tune the evaluation
 // pipeline: EvalWorkers enables shard-parallel delta rounds on the
-// interpretive path (EvalWorkers(1) plus NoPrefetch is the unpipelined
-// single-worker reference leg), and NoPrefetch disables the layer
-// prefetcher.
+// interpretive path and NoPrefetch disables the layer prefetcher; together,
+// EvalWorkers(1) and NoPrefetch give the unpipelined single-worker
+// reference leg.
 func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ...EvalOpt) (*Result, error) {
 	if !q.Class.LayeredEvaluable() {
 		return nil, fmt.Errorf("driver: %v queries cannot be evaluated layered; use naive mode", q.Class)

@@ -43,12 +43,12 @@ const (
 // writeLayerFile persists one layer atomically in the columnar format: the
 // bytes go to a temp file, are fsynced, and only then renamed to the final
 // path, so a crash or I/O error mid-write never leaves a partial layer
-// visible where readLayerFile would trip over it. Transient
-// errors (injectable via inj for testing) are retried with capped
-// exponential backoff; each fallback to retry is recorded as a warning
-// trace event and a retry counter bump — never silently — so
-// fault-injection runs are auditable from the trace buffer alone. Returns
-// the on-disk size of the written file.
+// visible where readLayerFile would trip over it. Transient errors
+// (injectable via inj for testing) are retried with capped exponential
+// backoff; each fallback to retry is recorded as a warning trace event and
+// a retry counter bump — never silently — so fault-injection runs are
+// auditable from the trace buffer alone. Returns the on-disk size of the
+// written file.
 func writeLayerFile(path string, l *Layer, inj *fault.Injector, m *obs.Metrics) (int64, error) {
 	var written int64
 	attempt := func() error {

@@ -131,8 +131,8 @@ func NewStore(cfg StoreConfig) *Store {
 }
 
 // spillPipeline is the bounded background writer: jobs carries layers to
-// persist (capacity spillQueueDepth), done
-// carries completions back to the store goroutine.
+// persist (capacity spillQueueDepth), done carries completions back to the
+// store goroutine.
 type spillPipeline struct {
 	jobs chan spillJob
 	done chan spillDone
@@ -176,11 +176,11 @@ func (s *Store) pipeline() *spillPipeline {
 }
 
 // enqueueSpill moves layer i onto the spill pipeline. Accounting happens at
-// enqueue — the layer is logically
-// spilled from this point, though Layer(i) still serves it from the pending
-// set until the write completes. A full queue blocks, draining completions
-// while waiting (backpressure instead of unbounded buffering).
-func (s *Store) enqueueSpill(i int, l *Layer) error {
+// enqueue — the layer is logically spilled from this point, though Layer(i)
+// still serves it from the pending set until the write completes. A full
+// queue blocks, draining completions while waiting (backpressure instead of
+// unbounded buffering). A write failure surfaces later, through complete.
+func (s *Store) enqueueSpill(i int, l *Layer) {
 	path := filepath.Join(s.cfg.SpillDir, layerFileName(i))
 	enc := l.EncodedSize()
 	attrSS := len(s.layers) - 1 // the superstep being appended
@@ -199,7 +199,7 @@ func (s *Store) enqueueSpill(i int, l *Layer) error {
 				s.highWater = int64(s.outstanding)
 			}
 			s.cfg.Metrics.SpillQueue(int64(s.outstanding), s.highWater)
-			return nil
+			return
 		case d := <-sp.done:
 			s.complete(d)
 		}
@@ -282,9 +282,7 @@ func (s *Store) AppendLayer(l *Layer) error {
 		if s.cfg.SpillDir == "" {
 			return fmt.Errorf("provenance: SpillAll requires a SpillDir")
 		}
-		if err := s.enqueueSpill(len(s.layers)-1, l); err != nil {
-			return err
-		}
+		s.enqueueSpill(len(s.layers)-1, l)
 	} else if s.cfg.MemoryBudget > 0 && s.resident > s.cfg.MemoryBudget {
 		if s.cfg.SpillDir == "" {
 			return fmt.Errorf("%w: resident %d bytes > budget %d", ErrBudgetExceeded, s.resident, s.cfg.MemoryBudget)
@@ -442,9 +440,7 @@ func (s *Store) spillOldest() error {
 		if s.spilled[i] || s.layers[i] == nil {
 			continue
 		}
-		if err := s.enqueueSpill(i, s.layers[i]); err != nil {
-			return err
-		}
+		s.enqueueSpill(i, s.layers[i])
 	}
 	if s.resident > s.cfg.MemoryBudget {
 		return fmt.Errorf("%w: a single layer exceeds the budget", ErrBudgetExceeded)
