@@ -88,9 +88,12 @@ func TestParseSpec(t *testing.T) {
 
 func TestHitWaitHang(t *testing.T) {
 	in := NewInjector(Rule{Site: SiteCompute, Superstep: -1, Partition: 1, Vertex: -1, Hang: true})
+	// Start the clock before the deadline is set: the deadline runs from
+	// the context's creation, so a clock started after it could read less
+	// than 5ms at the deadline whenever the goroutine is preempted between.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	err := in.HitWait(ctx, SiteCompute, 3, 1, 42)
 	if !errors.Is(err, ErrInjected) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hang = %v, want ErrInjected wrapping DeadlineExceeded", err)
