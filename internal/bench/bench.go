@@ -183,19 +183,6 @@ func (r *Runner) timeRun(g *graph.Graph, prog func() ariadne.Program, opts ...ar
 	return trimmedMean(times), last, nil
 }
 
-// timeInterleaved measures several Run configurations of one analytic with
-// cpuInterleaved.
-func (r *Runner) timeInterleaved(g *graph.Graph, prog func() ariadne.Program, legs ...[]ariadne.Option) ([]time.Duration, error) {
-	fns := make([]func() error, len(legs))
-	for l, opts := range legs {
-		fns[l] = func() error {
-			_, err := ariadne.Run(g, prog(), opts...)
-			return err
-		}
-	}
-	return r.cpuInterleaved(fns...)
-}
-
 // cpuInterleaved measures legs by process CPU time, in rounds: each round
 // runs every leg once, in order, after a forced GC so no leg pays for the
 // previous one's garbage, and each leg keeps the trimmed mean of its

@@ -141,11 +141,16 @@ func (r *Runner) Fig7() ([]CaptureTimeRow, error) {
 			if spec.name != "SSSP" {
 				src = graph.HighestDegreeVertex(spec.g)
 			}
-			capture := func(def queries.Definition) []ariadne.Option {
-				return append([]ariadne.Option{ariadne.WithCaptureQuery(def, provenance.StoreConfig{})}, spec.opts...)
+			run := func(opts ...ariadne.Option) func() error {
+				opts = append(opts, spec.opts...)
+				return func() error {
+					_, err := ariadne.Run(spec.g, spec.prog(), opts...)
+					return err
+				}
 			}
-			ts, err := r.timeInterleaved(spec.g, spec.prog, spec.opts,
-				capture(queries.CaptureFull()), capture(queries.CaptureForwardLineage(src)))
+			full := ariadne.WithCaptureQuery(queries.CaptureFull(), provenance.StoreConfig{})
+			custom := ariadne.WithCaptureQuery(queries.CaptureForwardLineage(src), provenance.StoreConfig{})
+			ts, err := r.cpuInterleaved(run(), run(full), run(custom))
 			if err != nil {
 				return nil, err
 			}

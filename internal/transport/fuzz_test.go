@@ -71,51 +71,35 @@ func FuzzExecRequestDecode(f *testing.F) {
 	})
 }
 
-// wireDecoders pairs each reply/barrier/mesh decoder with its encoder, for
-// the fuzz target to check a successful decode re-encodes stably.
+// wireDecoders are the reply, barrier and mesh decoders, each paired with
+// its encoder so the fuzz target can check that a decoded value re-encodes
+// stably.
 var wireDecoders = []struct {
 	name      string
 	roundTrip func([]byte) ([]byte, error)
 }{
-	{"exec-result", func(p []byte) ([]byte, error) {
-		res, err := decodeExecResult(p)
-		if err != nil || res == nil {
-			return nil, checkDecoded(res != nil, err)
-		}
-		return encodeExecResult(res), nil
-	}},
-	{"deliver-request", func(p []byte) ([]byte, error) {
-		req, err := decodeDeliverRequest(p)
-		if err != nil || req == nil {
-			return nil, checkDecoded(req != nil, err)
-		}
-		return encodeDeliverRequest(req), nil
-	}},
-	{"deliver-result", func(p []byte) ([]byte, error) {
-		res, err := decodeDeliverResult(p)
-		if err != nil || res == nil {
-			return nil, checkDecoded(res != nil, err)
-		}
-		return encodeDeliverResult(res), nil
-	}},
-	{"peer-frag", func(p []byte) ([]byte, error) {
-		f, err := decodePeerFrag(p)
-		if err != nil || f == nil {
-			return nil, checkDecoded(f != nil, err)
-		}
-		return encodePeerFrag(f), nil
-	}},
+	{"exec-result", reencode(decodeExecResult, encodeExecResult)},
+	{"deliver-request", reencode(decodeDeliverRequest, encodeDeliverRequest)},
+	{"deliver-result", reencode(decodeDeliverResult, encodeDeliverResult)},
+	{"peer-frag", reencode(decodePeerFrag, encodePeerFrag)},
 }
 
 // errBothOrNeither marks a decoder that returned a value and an error
 // together, or neither.
 var errBothOrNeither = errors.New("decoder must return exactly one of a value or an error")
 
-func checkDecoded(gotValue bool, err error) error {
-	if gotValue == (err != nil) {
-		return errBothOrNeither
+// reencode decodes p and encodes the result again.
+func reencode[T any](decode func([]byte) (*T, error), encode func(*T) []byte) func([]byte) ([]byte, error) {
+	return func(p []byte) ([]byte, error) {
+		v, err := decode(p)
+		if (v != nil) == (err != nil) {
+			return nil, errBothOrNeither
+		}
+		if err != nil {
+			return nil, err
+		}
+		return encode(v), nil
 	}
-	return err
 }
 
 // FuzzWireDecode feeds every input to all four remaining wire decoders —
